@@ -112,8 +112,8 @@ BM_CoreSimulation(benchmark::State &state)
         cpu::O3Core core(cpu::CoreConfig{}, gen);
         const auto res = core.run(50000);
         benchmark::DoNotOptimize(res.ipc);
-        state.SetItemsProcessed(50000);
     }
+    state.SetItemsProcessed(state.iterations() * 50000);
 }
 BENCHMARK(BM_CoreSimulation)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);

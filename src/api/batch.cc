@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 
@@ -73,6 +74,13 @@ BatchRunner::run() const
 BatchResult
 BatchRunner::run(const BatchEnv &env) const
 {
+    return detail::runSweeps(runners_, config_.threads, env);
+}
+
+BatchResult
+detail::runSweeps(std::span<const SweepRunner> runners,
+                  unsigned threads, const BatchEnv &env)
+{
     // Cooperative cancellation: checked between phases here and at
     // task boundaries inside them, so a cancelled run abandons its
     // remaining work quickly but never tears a task in half.
@@ -86,7 +94,7 @@ BatchRunner::run(const BatchEnv &env) const
     };
 
     BatchResult result;
-    result.sweeps.resize(runners_.size());
+    result.sweeps.resize(runners.size());
     throwIfCancelled("before phase 1");
 
     // Collect the distinct phase-1 tasks across every request.
@@ -101,10 +109,10 @@ BatchRunner::run(const BatchEnv &env) const
     std::map<std::string, std::size_t> index_of;
     // refs[s][w]: index into `unique`, or npos for imported sims.
     constexpr std::size_t npos = ~std::size_t{0};
-    std::vector<std::vector<std::size_t>> refs(runners_.size());
+    std::vector<std::vector<std::size_t>> refs(runners.size());
 
-    for (std::size_t s = 0; s < runners_.size(); ++s) {
-        const SweepRunner &runner = runners_[s];
+    for (std::size_t s = 0; s < runners.size(); ++s) {
+        const SweepRunner &runner = runners[s];
         const std::size_t num_workloads =
             runner.config().workloads.size();
         refs[s].resize(num_workloads, npos);
@@ -151,30 +159,101 @@ BatchRunner::run(const BatchEnv &env) const
             stores.emplace(dir, owned_stores.back().get());
         }
 
-    // Phase 1 over the deduped union: try every store a task's
-    // sweeps named, and on a miss simulate once and install the
-    // result into all of them.
+    // Phase 1 over the deduped union. An explicit-count task is one
+    // job: try every store its sweeps named, and on a miss simulate
+    // once and install the result into all of them. An auto task is
+    // looked up first; on a miss it becomes four jobs, one per FU
+    // count, in the same pool run, and the last of them to finish
+    // applies the Table 3 rule and saves the chosen run under the
+    // auto key. Every save stays in the job that produced the sim.
     std::vector<harness::WorkloadSim> sims(unique.size());
     std::atomic<std::size_t> sims_run{0}, cache_hits{0};
+    const auto loadCached = [&](std::size_t i) {
+        for (const auto &dir : task_dirs[i]) {
+            if (auto cached = stores.at(dir)->load(unique_keys[i])) {
+                sims[i] = std::move(*cached);
+                cache_hits.fetch_add(1);
+                return true;
+            }
+        }
+        return false;
+    };
+    const auto saveSim = [&](std::size_t i) {
+        for (const auto &dir : task_dirs[i])
+            stores.at(dir)->save(unique_keys[i], sims[i]);
+    };
     {
         obs::TraceSpan span("batch.phase1_sim", "batch");
         obs::ScopedTimerMs timer(obs::histogram("batch.sim_ms"));
-        detail::runOn(env.pool, unique.size(), config_.threads,
-                      [&](std::size_t i) {
+
+        // Auto tasks' lookups decide how many jobs the simulation
+        // run has, so they run first, in parallel; a batch without a
+        // stored auto task skips this pass.
+        std::vector<std::size_t> auto_lookups;
+        for (std::size_t i = 0; i < unique.size(); ++i)
+            if (unique[i].fus == auto_select && !task_dirs[i].empty())
+                auto_lookups.push_back(i);
+        std::vector<char> auto_hit(unique.size(), 0);
+        detail::runOn(env.pool, auto_lookups.size(), threads,
+                      [&](std::size_t a) {
+            if (!cancelled())
+                auto_hit[auto_lookups[a]] = loadCached(auto_lookups[a]);
+        });
+
+        struct AutoRuns
+        {
+            harness::WorkloadSim sims[4];
+            std::atomic<unsigned> remaining{4};
+        };
+        struct Job
+        {
+            std::size_t task;
+            unsigned fus;              ///< 1..4 for an auto run
+            AutoRuns *runs = nullptr;  ///< null: the task as requested
+        };
+        std::deque<AutoRuns> pending; // stable addresses
+        std::vector<Job> jobs;
+        for (std::size_t i = 0; i < unique.size(); ++i) {
+            if (unique[i].fus != auto_select) {
+                jobs.push_back({i, 0});
+            } else if (!auto_hit[i]) {
+                AutoRuns &runs = pending.emplace_back();
+                for (unsigned n = 1; n <= 4; ++n)
+                    jobs.push_back({i, n, &runs});
+            }
+        }
+
+        detail::runOn(env.pool, jobs.size(), threads,
+                      [&](std::size_t j) {
             if (cancelled())
                 return; // task boundary: abandon, don't tear
-            for (const auto &dir : task_dirs[i]) {
-                if (auto cached =
-                        stores.at(dir)->load(unique_keys[i])) {
-                    sims[i] = std::move(*cached);
-                    cache_hits.fetch_add(1);
+            const Job &job = jobs[j];
+            const std::size_t i = job.task;
+            if (!job.runs) {
+                if (loadCached(i))
                     return;
-                }
+                sims[i] = unique[i].run();
+            } else {
+                const SimTask &task = unique[i];
+                job.runs->sims[job.fus - 1] = harness::simulateWorkload(
+                    task.profile, job.fus, task.insts, task.base,
+                    task.seed);
+                // Only the last of the four completes the task, and
+                // not once the batch is cancelled.
+                if (job.runs->remaining.fetch_sub(1) != 1 ||
+                    cancelled())
+                    return;
+                double ipc_by_fus[4];
+                for (unsigned n = 0; n < 4; ++n)
+                    ipc_by_fus[n] = job.runs->sims[n].sim.ipc;
+                const unsigned chosen =
+                    harness::chooseFuCount(ipc_by_fus).chosen;
+                sims[i] = std::move(job.runs->sims[chosen - 1]);
+                for (auto &run : job.runs->sims)
+                    run = {}; // free the three not kept
             }
-            sims[i] = unique[i].run();
             sims_run.fetch_add(1);
-            for (const auto &dir : task_dirs[i])
-                stores.at(dir)->save(unique_keys[i], sims[i]);
+            saveSim(i);
         });
     }
     result.stats.sims_run = sims_run.load();
@@ -192,8 +271,8 @@ BatchRunner::run(const BatchEnv &env) const
     obs::counter("batch.store_misses").add(result.stats.sims_run);
 
     // Assemble each request's result skeleton from the shared sims.
-    for (std::size_t s = 0; s < runners_.size(); ++s) {
-        const SweepConfig &cfg = runners_[s].config();
+    for (std::size_t s = 0; s < runners.size(); ++s) {
+        const SweepConfig &cfg = runners[s].config();
         SweepResult &out = result.sweeps[s];
         out.workloads = cfg.workloads;
         out.technologies = cfg.technologies;
@@ -203,7 +282,7 @@ BatchRunner::run(const BatchEnv &env) const
                          cfg.technologies.size());
         for (std::size_t w = 0; w < cfg.workloads.size(); ++w) {
             if (refs[s][w] == npos) {
-                out.sims[w] = *runners_[s].importedSim(w);
+                out.sims[w] = *runners[s].importedSim(w);
                 ++out.stats.imported;
             } else {
                 out.sims[w] = sims[refs[s][w]];
@@ -217,12 +296,12 @@ BatchRunner::run(const BatchEnv &env) const
     // small sweep's cells never wait on a big sweep's phase.
     detail::ReplayDriver driver;
     for (std::size_t s = 0; s < result.sweeps.size(); ++s)
-        driver.add(result.sweeps[s], runners_[s].config());
+        driver.add(result.sweeps[s], runners[s].config());
     {
         obs::TraceSpan span("batch.phase2_replay", "batch");
         obs::ScopedTimerMs timer(
             obs::histogram("batch.replay_ms"));
-        driver.run(config_.threads, env.pool,
+        driver.run(threads, env.pool,
                    env.cancel ? &env.cancel : nullptr);
     }
     return result;

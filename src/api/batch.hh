@@ -12,6 +12,11 @@
  * pool. Each returned SweepResult is byte-identical — CSV and JSON —
  * to running its SweepConfig alone.
  *
+ * A `fus = auto_select` task that misses the store runs as four
+ * simulations (1..4 FUs) in that same pool run; the last to finish
+ * applies harness::chooseFuCount and keeps the chosen run, which is
+ * what the auto key stores.
+ *
  * @code
  *   api::BatchConfig batch;
  *   batch.sweeps = {cfg_a, cfg_b};       // may share workloads
@@ -27,6 +32,7 @@
 #define LSIM_API_BATCH_HH
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,7 +83,8 @@ struct BatchStats
     /** Distinct simulations loaded from the profile store. */
     std::size_t cache_hits = 0;
 
-    /** Distinct simulations actually executed. */
+    /** Distinct simulations actually executed (an auto task counts
+     * once, though it takes four O3 runs). */
     std::size_t sims_run = 0;
 };
 
@@ -128,6 +135,21 @@ struct BatchEnv
  * to one execution (phase-1 dedup lifted to the request tier).
  */
 std::string batchFingerprint(const BatchConfig &config);
+
+namespace detail
+{
+
+/**
+ * The body of BatchRunner::run over already-validated runners, which
+ * SweepRunner::run shares as a one-runner batch: phase 1 over the
+ * deduped union of their simulations, each task reading and filling
+ * the stores its runners' cache_dir names, then every runner's replay
+ * grid. @p threads sizes the fan-out when env.pool is null.
+ */
+BatchResult runSweeps(std::span<const SweepRunner> runners,
+                      unsigned threads, const BatchEnv &env);
+
+} // namespace detail
 
 /** Executes BatchConfigs; stateless apart from the config. */
 class BatchRunner

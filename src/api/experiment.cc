@@ -259,15 +259,22 @@ ExperimentBuilder::session() const
     Session s;
     s.policy_keys_ = keys;
 
-    unsigned fu_count = fus_;
-    if (fu_count == auto_select) {
-        s.fu_selection_ = harness::selectFuCount(prof, insts_, base_,
-                                                 0.95, seed_);
-        fu_count = s.fu_selection_->chosen;
-    } else if (fu_count == paper_fus) {
-        fu_count = prof.paper_fus;
+    if (fus_ == auto_select) {
+        // Full runs at 1..4 FUs; the chosen count's run is the
+        // session's simulation, so nothing is simulated twice.
+        harness::WorkloadSim runs[4];
+        double ipc_by_fus[4];
+        for (unsigned n = 1; n <= 4; ++n) {
+            runs[n - 1] = harness::simulateWorkload(prof, n, insts_,
+                                                    base_, seed_);
+            ipc_by_fus[n - 1] = runs[n - 1].sim.ipc;
+        }
+        s.fu_selection_ = harness::chooseFuCount(ipc_by_fus);
+        s.sim_ = std::move(runs[s.fu_selection_->chosen - 1]);
+        return s;
     }
 
+    const unsigned fu_count = fus_ == paper_fus ? prof.paper_fus : fus_;
     s.sim_ = harness::simulateWorkload(prof, fu_count, insts_, base_,
                                        seed_);
     return s;

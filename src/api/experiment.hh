@@ -190,7 +190,7 @@ class ExperimentBuilder
 
     /**
      * Integer FU count; api::auto_select derives it with the Table 3
-     * methodology (runs four extra simulations).
+     * methodology (simulates at 1..4 FUs and keeps the chosen run).
      */
     ExperimentBuilder &fus(unsigned n);
 

@@ -1,8 +1,8 @@
 #include "api/sweep.hh"
 
-#include <atomic>
 #include <stdexcept>
 
+#include "api/batch.hh"
 #include "api/parallel.hh"
 #include "common/csv.hh"
 #include "common/json.hh"
@@ -418,53 +418,13 @@ SweepRunner::importedSim(std::size_t w) const
 SweepResult
 SweepRunner::run() const
 {
-    SweepResult result;
-    result.workloads = config_.workloads;
-    result.technologies = config_.technologies;
-    result.policy_keys = config_.policies;
-    result.sims.resize(result.workloads.size());
-
-    std::optional<store::ProfileStore> cache;
-    if (!config_.cache_dir.empty())
-        cache.emplace(config_.cache_dir);
-
-    // Phase 1: one timing simulation per workload, in parallel —
-    // imported sims are used as-is and cached sims are loaded
-    // instead of re-simulated.
-    std::atomic<std::size_t> sims_run{0}, cache_hits{0};
-    detail::parallelFor(result.workloads.size(), config_.threads,
-                        [&](std::size_t w) {
-        if (const harness::WorkloadSim *imp = importedSim(w)) {
-            result.sims[w] = *imp;
-            return;
-        }
-        const detail::SimTask task = *simTask(w);
-        std::string key;
-        if (cache) {
-            key = task.fingerprint();
-            if (auto cached = cache->load(key)) {
-                result.sims[w] = std::move(*cached);
-                cache_hits.fetch_add(1);
-                return;
-            }
-        }
-        result.sims[w] = task.run();
-        sims_run.fetch_add(1);
-        if (cache)
-            cache->save(key, result.sims[w]);
-    });
-    result.stats.sims_run = sims_run.load();
-    result.stats.cache_hits = cache_hits.load();
-    result.stats.imported = imported_.size();
-
-    // Phase 2: replay every profile at every technology point — all
-    // points of a workload in one pass over its interval multiset
-    // (or per-cell scalar passes under config().scalar_replay).
-    result.cells.resize(result.workloads.size() *
-                        result.technologies.size());
-    detail::ReplayDriver driver;
-    driver.add(result, config_);
-    driver.run(config_.threads);
+    // A one-runner batch: the same phase 1 (dedup, store, pooled
+    // auto selection) and phase 2 as BatchRunner, on this runner's
+    // already-validated config and imports.
+    BatchResult batch = detail::runSweeps({this, 1}, config_.threads, {});
+    SweepResult result = std::move(batch.sweeps.front());
+    result.stats.sims_run = batch.stats.sims_run;
+    result.stats.cache_hits = batch.stats.cache_hits;
     return result;
 }
 

@@ -276,7 +276,8 @@ class SweepRunner
      */
     explicit SweepRunner(SweepConfig config);
 
-    /** Run both phases; deterministic for any thread count. */
+    /** Run both phases as a one-runner BatchRunner batch (see
+     * detail::runSweeps); deterministic for any thread count. */
     SweepResult run() const;
 
     /** The normalized config: defaults filled, names validated. */

@@ -1,10 +1,29 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 #include "trace/generator.hh"
 
 namespace lsim::harness
 {
+
+namespace
+{
+
+/** Make one O3 run's work visible in the metrics registry. */
+void
+countCoreRun(const cpu::SimResult &res)
+{
+    static obs::Counter &runs = obs::counter("sim.core_runs");
+    static obs::Counter &insts = obs::counter("sim.insts");
+    runs.add();
+    insts.add(res.committed);
+}
+
+} // namespace
 
 double
 IdleProfile::idleFraction() const
@@ -66,6 +85,7 @@ simulateWorkload(const trace::WorkloadProfile &profile,
         ws.idle.addRun(busy, len);
     });
     ws.sim = core.run(insts);
+    countCoreRun(ws.sim);
 
     // Figure 7 combination rule: each FU's histogram contributes as
     // a fraction of that FU's own total time, averaged over the
@@ -89,17 +109,11 @@ simulateWorkload(const trace::WorkloadProfile &profile,
 }
 
 FuSelection
-selectFuCount(const trace::WorkloadProfile &profile,
-              std::uint64_t insts, const cpu::CoreConfig &base,
-              double threshold, std::uint64_t seed)
+chooseFuCount(const double (&ipc_by_fus)[4], double threshold)
 {
     FuSelection sel;
-    for (unsigned n = 1; n <= 4; ++n) {
-        trace::TraceGenerator gen(profile, seed);
-        cpu::O3Core core(base.withIntFus(n), gen);
-        const auto res = core.run(insts);
-        sel.ipc_by_fus[n - 1] = res.ipc;
-    }
+    std::copy(std::begin(ipc_by_fus), std::end(ipc_by_fus),
+              sel.ipc_by_fus);
     sel.max_ipc = sel.ipc_by_fus[3];
     sel.chosen = 4;
     sel.chosen_ipc = sel.max_ipc;
@@ -111,6 +125,22 @@ selectFuCount(const trace::WorkloadProfile &profile,
         }
     }
     return sel;
+}
+
+FuSelection
+selectFuCount(const trace::WorkloadProfile &profile,
+              std::uint64_t insts, const cpu::CoreConfig &base,
+              double threshold, std::uint64_t seed)
+{
+    double ipc_by_fus[4];
+    for (unsigned n = 1; n <= 4; ++n) {
+        trace::TraceGenerator gen(profile, seed);
+        cpu::O3Core core(base.withIntFus(n), gen);
+        const auto res = core.run(insts);
+        countCoreRun(res);
+        ipc_by_fus[n - 1] = res.ipc;
+    }
+    return chooseFuCount(ipc_by_fus, threshold);
 }
 
 std::vector<sleep::PolicyResult>

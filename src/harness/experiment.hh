@@ -85,7 +85,9 @@ struct WorkloadSim
 
 /**
  * Simulate @p profile for @p insts committed instructions on a core
- * with @p num_fus integer units.
+ * with @p num_fus integer units. Every O3 run of this module, the
+ * selection runs of selectFuCount included, adds to the
+ * `sim.core_runs` and `sim.insts` counters.
  *
  * @param base Base machine configuration (FU count is overridden).
  * @param seed Trace generator seed.
@@ -105,9 +107,18 @@ struct FuSelection
 };
 
 /**
+ * The paper's FU-count rule over IPCs measured at 1..4 integer FUs:
+ * the minimum count achieving at least @p threshold (default 95%) of
+ * the 4-FU IPC. The one definition behind selectFuCount, the
+ * facade's auto_select sessions and the batch runner's pooled
+ * selection.
+ */
+FuSelection chooseFuCount(const double (&ipc_by_fus)[4],
+                          double threshold = 0.95);
+
+/**
  * The paper's FU-count methodology: simulate at 1..4 integer FUs and
- * pick the minimum count achieving at least @p threshold (default
- * 95%) of the 4-FU IPC.
+ * apply chooseFuCount.
  */
 FuSelection selectFuCount(const trace::WorkloadProfile &profile,
                           std::uint64_t insts,
