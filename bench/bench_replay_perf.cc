@@ -60,6 +60,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -388,73 +389,72 @@ measureServe(std::uint64_t insts, std::uint64_t seed)
         fs::temp_directory_path() / "lsim_bench_serve";
     fs::remove_all(root);
 
+    std::atomic<bool> stop_pump{false};
+    serve::ServeConfig cfg;
+    cfg.spool_dir = (root / "spool").string();
+    cfg.cache_dir = (root / "cache").string();
+    cfg.socket_path = (root / "lsim.sock").string();
+    cfg.stop = [&stop_pump] { return stop_pump.load(); };
+    std::optional<serve::Daemon> daemon(std::in_place, cfg);
+
+    std::ostringstream spec;
+    spec << "{\"sweeps\": [{\"benchmarks\": [\"gcc\"], \"steps\": "
+         << kPoints << ", \"insts\": " << insts
+         << ", \"seed\": " << seed << "}]}";
+    std::size_t n = 0;
+    const auto drop = [&] {
+        std::ofstream out(fs::path(cfg.spool_dir) /
+                          ("req" + std::to_string(n++) + ".json"));
+        out << spec.str();
+    };
+
     ServeResult result;
     result.points = kPoints;
-    // The daemon goes out of scope before remove_all: its store's
-    // final index flush needs the directory to still exist.
     {
-        std::atomic<bool> stop_pump{false};
-        serve::ServeConfig cfg;
-        cfg.spool_dir = (root / "spool").string();
-        cfg.cache_dir = (root / "cache").string();
-        cfg.socket_path = (root / "lsim.sock").string();
-        cfg.stop = [&stop_pump] { return stop_pump.load(); };
-        serve::Daemon daemon(cfg);
-
-        std::ostringstream spec;
-        spec << "{\"sweeps\": [{\"benchmarks\": [\"gcc\"], \"steps\": "
-             << kPoints << ", \"insts\": " << insts
-             << ", \"seed\": " << seed << "}]}";
-        std::size_t n = 0;
-        const auto drop = [&] {
-            std::ofstream out(fs::path(cfg.spool_dir) /
-                              ("req" + std::to_string(n++) + ".json"));
-            out << spec.str();
-        };
-
-        {
-            const auto start = std::chrono::steady_clock::now();
-            drop();
-            daemon.drainOnce();
-            result.cold_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-        }
-        result.warm_ms = timeMs([&] {
-            drop();
-            daemon.drainOnce();
-        });
-
-        // Socket front door: the same warm request as a submit-and-wait
-        // round trip over AF_UNIX, with the daemon loop pumping the
-        // queue. Distinct names keep the requests from coalescing, so
-        // each round trip is a real execution. One untimed round trip
-        // first so thread spin-up is not on the clock.
-        std::thread pump([&daemon] { daemon.run(); });
-        const std::string spec_text = spec.str();
-        const auto round_trip = [&](const std::string &name) {
-            const auto res = serve::socketSubmit(
-                daemon.socketPath(), name, spec_text, 0,
-                /*wait=*/true, /*timeout_s=*/120.0);
-            if (!res.ok)
-                fatal("serve bench: socket submit failed: %s",
-                      res.error.c_str());
-        };
-        round_trip("sock_warmup");
-        constexpr int kSocketReps = 4;
-        result.socket_warm_ms = timeMs([&] {
-            for (int i = 0; i < kSocketReps; ++i)
-                round_trip("sock_warm" + std::to_string(i));
-        }) / kSocketReps;
-        stop_pump.store(true);
-        pump.join();
-
-        if (daemon.stats().failed != 0 ||
-            daemon.stats().done != daemon.stats().processed)
-            fatal("serve bench: %zu of %zu request(s) failed",
-                  daemon.stats().failed, daemon.stats().processed);
+        const auto start = std::chrono::steady_clock::now();
+        drop();
+        daemon->drainOnce();
+        result.cold_ms =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - start)
+                .count();
     }
+    result.warm_ms = timeMs([&] {
+        drop();
+        daemon->drainOnce();
+    });
+
+    // Socket front door: the same warm request as a submit-and-wait
+    // round trip over AF_UNIX, with the daemon loop pumping the
+    // queue. Distinct names keep the requests from coalescing, so
+    // each round trip is a real execution. One untimed round trip
+    // first so thread spin-up is not on the clock.
+    std::thread pump([&daemon] { daemon->run(); });
+    const std::string spec_text = spec.str();
+    const auto round_trip = [&](const std::string &name) {
+        const auto res = serve::socketSubmit(
+            daemon->socketPath(), name, spec_text, 0,
+            /*wait=*/true, /*timeout_s=*/120.0);
+        if (!res.ok)
+            fatal("serve bench: socket submit failed: %s",
+                  res.error.c_str());
+    };
+    round_trip("sock_warmup");
+    constexpr int kSocketReps = 4;
+    result.socket_warm_ms = timeMs([&] {
+        for (int i = 0; i < kSocketReps; ++i)
+            round_trip("sock_warm" + std::to_string(i));
+    }) / kSocketReps;
+    stop_pump.store(true);
+    pump.join();
+
+    if (daemon->stats().failed != 0 ||
+        daemon->stats().done != daemon->stats().processed)
+        fatal("serve bench: %zu of %zu request(s) failed",
+              daemon->stats().failed, daemon->stats().processed);
+    // The store's final index flush needs its directory: destroy the
+    // daemon first.
+    daemon.reset();
     fs::remove_all(root);
     return result;
 }

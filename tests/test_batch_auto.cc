@@ -5,9 +5,9 @@
  * chosen run. Its output must be byte-identical to the serial
  * reference (harness::selectFuCount, then harness::simulateWorkload
  * at the chosen count) at any thread count and on an injected pool,
- * alone or beside an explicit-count request for the same benchmark;
- * the store must hold the chosen run under the auto key; and a cancel
- * mid-selection must save nothing.
+ * alone, beside an explicit-count request for the same benchmark, or
+ * through SweepRunner::run; the store must hold the chosen run under
+ * the auto key; and a cancel mid-selection must save nothing.
  */
 
 #include <gtest/gtest.h>
@@ -164,6 +164,21 @@ TEST(BatchAuto, BesideAnExplicitCountMatchesTheSerialReference)
         ASSERT_EQ(result.sweeps.size(), 2u);
         EXPECT_EQ(rendered(result.sweeps[0]), expected_auto);
         EXPECT_EQ(rendered(result.sweeps[1]), expected_explicit);
+    }
+}
+
+TEST(BatchAuto, SweepRunnerTakesThePooledPath)
+{
+    SweepConfig automatic = sweep({"mcf", "gcc"}, auto_select);
+    const auto expected = reference(automatic);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        automatic.threads = threads;
+        const std::uint64_t runs_before = coreRuns();
+        const SweepResult result = SweepRunner(automatic).run();
+        EXPECT_EQ(coreRuns() - runs_before, 8u);
+        EXPECT_EQ(result.stats.sims_run, 2u);
+        EXPECT_EQ(rendered(result), expected);
     }
 }
 
