@@ -6,9 +6,12 @@
  * every row below — or re-pin deliberately, with the resulting
  * figure deltas explained.
  *
- * Three tables, all generated from the same code:
+ * Four tables, all generated from the same code:
  *  - FNV-1a of the store::writeWorkloadSim bytes for the nine Table 3
  *    profiles x FU counts 1-4 x seeds {1, 2} at kInsts instructions;
+ *  - the same hash for mcf, health, gcc and vortex at their Table 3
+ *    FU counts, seed 1, kLongInsts instructions: long enough to reach
+ *    the long memory and front-end stalls that short runs rarely do;
  *  - the FU count the Table 3 rule (harness::selectFuCount) picks per
  *    (profile, seed);
  *  - the profile-store key (SimTask::fingerprint) of one auto task
@@ -38,6 +41,7 @@ using namespace lsim;
 
 constexpr std::uint64_t kInsts = 20000;
 constexpr std::uint64_t kSeeds[] = {1, 2};
+constexpr std::uint64_t kLongInsts = 200000;
 
 struct SimPin
 {
@@ -122,6 +126,20 @@ constexpr SimPin kSimPins[] = {
     {"vpr", 2, 4, "7d2f5a50432482ee"},
 };
 
+struct LongPin
+{
+    const char *profile;
+    unsigned fus;     ///< the profile's Table 3 count
+    const char *hash; ///< FNV-1a hex at kLongInsts, seed 1
+};
+
+constexpr LongPin kLongPins[] = {
+    {"mcf", 2, "3178d7695b3305fd"},
+    {"health", 2, "050a778fa2105e0f"},
+    {"gcc", 2, "dd3e5cced5babe06"},
+    {"vortex", 4, "911f1f4f8e3f02c9"},
+};
+
 struct AutoPin
 {
     const char *profile;
@@ -152,10 +170,10 @@ constexpr AutoPin kAutoPins[] = {
 
 std::string
 simHash(const trace::WorkloadProfile &profile, unsigned fus,
-        std::uint64_t seed)
+        std::uint64_t seed, std::uint64_t insts = kInsts)
 {
     const harness::WorkloadSim sim =
-        harness::simulateWorkload(profile, fus, kInsts, {}, seed);
+        harness::simulateWorkload(profile, fus, insts, {}, seed);
     std::ostringstream bytes;
     store::BinaryWriter w(bytes);
     store::writeWorkloadSim(w, sim);
@@ -184,6 +202,20 @@ TEST(SimPins, SerializedSimulationsMatchThePinnedHashes)
             }
     EXPECT_EQ(std::size(kSimPins),
               trace::table3Profiles().size() * 4 * std::size(kSeeds));
+}
+
+TEST(SimPins, LongRunsAtTable3CountsMatchThePinnedHashes)
+{
+    for (const LongPin &pin : kLongPins) {
+        const trace::WorkloadProfile &profile =
+            trace::profileByName(pin.profile);
+        ASSERT_EQ(pin.fus, profile.paper_fus) << pin.profile;
+        const std::string actual =
+            simHash(profile, pin.fus, 1, kLongInsts);
+        EXPECT_EQ(actual, pin.hash)
+            << "actual row: {\"" << pin.profile << "\", " << pin.fus
+            << ", \"" << actual << "\"},";
+    }
 }
 
 TEST(SimPins, AutoSelectionPicksThePinnedCounts)
