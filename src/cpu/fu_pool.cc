@@ -81,6 +81,25 @@ FuPool::endCycle()
 }
 
 void
+FuPool::creditIdle(Cycle cycles)
+{
+    if (in_cycle_)
+        panic("FuPool::creditIdle inside a cycle");
+    if (cycles == 0)
+        return;
+    allocated_ = 0;
+    cycles_ += cycles;
+    for (unsigned fu = 0; fu < num_units_; ++fu) {
+        UnitState &u = units_[fu];
+        u.busy_now = false;
+        if (u.run_len > 0 && u.run_busy)
+            closeRun(fu);
+        u.run_busy = false;
+        u.run_len += cycles;
+    }
+}
+
+void
 FuPool::finish()
 {
     for (unsigned fu = 0; fu < num_units_; ++fu) {

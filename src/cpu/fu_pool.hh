@@ -65,6 +65,14 @@ class FuPool
     void endCycle();
 
     /**
+     * Account @p cycles cycles in which no unit is allocated, exactly
+     * as that many empty beginCycle()/endCycle() pairs would: the
+     * core's event skipping credits a stretch of quiet cycles in one
+     * call. Must be called between cycles.
+     */
+    void creditIdle(Cycle cycles);
+
+    /**
      * Flush open runs (end of simulation) into sinks/recorders and
      * finish the idle statistics.
      */

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "cpu/fu_pool.hh"
@@ -111,6 +112,85 @@ TEST(FuPool, IdleStatsMatchPattern)
     EXPECT_DOUBLE_EQ(pool.utilization(0), 0.5);
 }
 
+/** Every observable of a pool: sink calls, histograms, counts. */
+struct PoolTrace
+{
+    std::vector<std::tuple<unsigned, bool, Cycle>> runs;
+    std::vector<Cycle> busy;
+    std::vector<std::vector<double>> histograms;
+    std::vector<Cycle> idle_cycles;
+    Cycle cycles = 0;
+    unsigned allocated = 0;
+
+    bool operator==(const PoolTrace &) const = default;
+};
+
+/**
+ * Drive a 3-unit pool through @p pattern (ops allocated per cycle,
+ * -1 marking an idle stretch of @p gap cycles). The stretch goes
+ * through creditIdle() when @p bulk, else through @p gap empty
+ * beginCycle()/endCycle() pairs.
+ */
+PoolTrace
+drivePool(const std::vector<int> &pattern, Cycle gap, bool bulk)
+{
+    FuPool pool(3);
+    PoolTrace t;
+    pool.setRunSink([&](unsigned fu, bool busy, Cycle len) {
+        t.runs.emplace_back(fu, busy, len);
+    });
+    for (const int ops : pattern) {
+        if (ops < 0 && bulk) {
+            pool.creditIdle(gap);
+            continue;
+        }
+        for (Cycle c = 0; c < (ops < 0 ? gap : 1); ++c) {
+            pool.beginCycle();
+            for (int i = 0; i < ops; ++i)
+                pool.allocate();
+            pool.endCycle();
+        }
+    }
+    t.allocated = pool.allocatedThisCycle();
+    pool.finish();
+    t.cycles = pool.cycles();
+    for (unsigned fu = 0; fu < pool.numUnits(); ++fu) {
+        t.busy.push_back(pool.busyCycles(fu));
+        const auto &rec = pool.idleStats(fu);
+        t.idle_cycles.push_back(rec.idleCycles());
+        std::vector<double> h;
+        for (std::size_t b = 0; b < rec.histogram().numBuckets(); ++b)
+            h.push_back(rec.histogram().bucketWeight(b));
+        t.histograms.push_back(h);
+    }
+    return t;
+}
+
+TEST(FuPool, BulkIdleCreditEqualsEmptyCycles)
+{
+    // Idle stretches at the start, after a busy run still open on
+    // some units, after a partly busy cycle, back to back, and at the
+    // end; gap lengths from one cycle to beyond a histogram bucket.
+    const std::vector<std::vector<int>> patterns = {
+        {-1, 1, 2},
+        {3, 3, -1, 1},
+        {2, -1, -1, 0, 1, -1},
+        {1, 0, -1, 3, 2, 1, -1},
+    };
+    for (const Cycle gap : {Cycle{1}, Cycle{2}, Cycle{37}, Cycle{5000}})
+        for (const auto &pattern : patterns) {
+            const PoolTrace bulk = drivePool(pattern, gap, true);
+            EXPECT_EQ(bulk, drivePool(pattern, gap, false))
+                << "gap " << gap;
+            EXPECT_FALSE(bulk.runs.empty());
+        }
+}
+
+TEST(FuPool, ZeroIdleCreditChangesNothing)
+{
+    EXPECT_EQ(drivePool({2, -1, 1}, 0, true), drivePool({2, 1}, 0, true));
+}
+
 TEST(FuPoolDeath, Protocol)
 {
     FuPool pool(1);
@@ -118,6 +198,7 @@ TEST(FuPoolDeath, Protocol)
     EXPECT_DEATH(pool.endCycle(), "without beginCycle");
     pool.beginCycle();
     EXPECT_DEATH(pool.beginCycle(), "without endCycle");
+    EXPECT_DEATH(pool.creditIdle(4), "inside a cycle");
 }
 
 TEST(FuPool, RejectsUnitCountOutsideRange)
