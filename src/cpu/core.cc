@@ -1,5 +1,6 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.hh"
@@ -45,26 +46,7 @@ O3Core::fileOf(int logical_reg)
     return logical_reg >= trace::kNumLogicalRegs ? fp_map_ : int_map_;
 }
 
-const RenameMap &
-O3Core::fileOf(int logical_reg) const
-{
-    return logical_reg >= trace::kNumLogicalRegs ? fp_map_ : int_map_;
-}
-
 bool
-O3Core::sourcesReady(const RobEntry &entry) const
-{
-    const auto &op = entry.op;
-    if (op.src1 != kNoReg &&
-        !fileOf(op.src1).isReady(entry.src1_phys))
-        return false;
-    if (op.src2 != kNoReg &&
-        !fileOf(op.src2).isReady(entry.src2_phys))
-        return false;
-    return true;
-}
-
-void
 O3Core::commitStage()
 {
     unsigned done = 0;
@@ -86,37 +68,45 @@ O3Core::commitStage()
         ++done;
         last_commit_cycle_ = now_;
     }
+    return done > 0;
 }
 
-void
+bool
 O3Core::writebackStage()
 {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < inflight_.size(); ++i) {
-        RobEntry &entry = rob_.bySeq(inflight_[i]);
-        if (entry.complete_cycle > now_) {
-            inflight_[out++] = inflight_[i];
-            continue;
-        }
+    bool progress = false;
+    while (!inflight_.empty() && inflight_.top().cycle <= now_) {
+        RobEntry &entry = rob_.bySeq(inflight_.top().seq);
+        inflight_.pop();
+        progress = true;
         entry.state = InstState::Complete;
-        if (entry.dst_phys != kNoPhysReg)
-            fileOf(entry.op.dst).setReady(entry.dst_phys);
+        if (entry.dst_phys != kNoPhysReg) {
+            // Wake the consumers renamed while the value was pending;
+            // one whose last source this was becomes issuable now.
+            fileOf(entry.op.dst)
+                .wakeConsumers(entry.dst_phys, [&](std::uint64_t seq) {
+                    RobEntry &consumer = rob_.bySeq(seq);
+                    if (--consumer.pending_srcs == 0)
+                        (consumer.op.isFp() ? fp_iq_ : int_iq_)
+                            .wake(seq);
+                });
+        }
         if (entry.op.isStore())
-            lsq_.setAddrReady(entry.seq);
+            lsq_.setAddrReady(entry.lsq_index);
         if (entry.resteer) {
             // Branch resolved: front end refills after the redirect
             // penalty.
             fetch_resume_cycle_ = now_ + config_.mispredict_penalty;
         }
     }
-    inflight_.resize(out);
+    return progress;
 }
 
-void
+bool
 O3Core::issueStage()
 {
-    // Integer side (includes loads/stores/branches): oldest first,
-    // bounded by issue width and free FUs.
+    // Integer side (includes loads/stores/branches): ready entries
+    // oldest first, bounded by issue width and free FUs.
     unsigned int_issued = 0;
     int_iq_.selectIssue([&](std::uint64_t seq, bool &stop) {
         if (int_issued >= config_.issue_width) {
@@ -124,14 +114,11 @@ O3Core::issueStage()
             return false;
         }
         RobEntry &entry = rob_.bySeq(seq);
-        if (!sourcesReady(entry))
-            return false;
-
         const auto &op = entry.op;
         if (op.isLoad()) {
             if (dcache_ports_used_ >= config_.dcache_ports)
                 return false;
-            if (!lsq_.olderStoresReady(seq))
+            if (!lsq_.olderStoresReady(entry.lsq_index))
                 return false;
         }
 
@@ -146,7 +133,7 @@ O3Core::issueStage()
 
         Cycle extra = 0;
         if (op.isLoad()) {
-            if (lsq_.forwardsFromStore(seq, op.mem_addr)) {
+            if (lsq_.forwardsFromStore(entry.lsq_index)) {
                 extra = 1; // store-to-load forwarding
             } else {
                 extra = mem_.data(op.mem_addr, false);
@@ -156,7 +143,7 @@ O3Core::issueStage()
 
         entry.state = InstState::Issued;
         entry.complete_cycle = now_ + trace::execLatency(op.cls) + extra;
-        inflight_.push_back(seq);
+        inflight_.push({entry.complete_cycle, seq});
         ++int_issued;
         return true;
     });
@@ -170,18 +157,17 @@ O3Core::issueStage()
             return false;
         }
         RobEntry &entry = rob_.bySeq(seq);
-        if (!sourcesReady(entry))
-            return false;
         entry.state = InstState::Issued;
         entry.complete_cycle =
             now_ + trace::execLatency(entry.op.cls);
-        inflight_.push_back(seq);
+        inflight_.push({entry.complete_cycle, seq});
         ++fp_issued_;
         return true;
     });
+    return int_issued + fp_issued_ > 0;
 }
 
-void
+bool
 O3Core::renameStage()
 {
     unsigned done = 0;
@@ -206,11 +192,20 @@ O3Core::renameStage()
         entry.state = InstState::Dispatched;
         entry.resteer = fetched.resteer;
 
+        // A source whose value is still pending lists this
+        // instruction on its physical register; writeback counts
+        // pending_srcs down and wakes the entry at zero.
         auto mapSrc = [&](int logical) {
             if (logical == kNoReg)
                 return kNoPhysReg;
-            return fileOf(logical).lookup(
-                logical % trace::kNumLogicalRegs);
+            RenameMap &file = fileOf(logical);
+            const int phys =
+                file.lookup(logical % trace::kNumLogicalRegs);
+            if (!file.isReady(phys)) {
+                file.addConsumer(phys, entry.seq);
+                ++entry.pending_srcs;
+            }
+            return phys;
         };
         entry.src1_phys = mapSrc(op.src1);
         entry.src2_phys = mapSrc(op.src2);
@@ -221,32 +216,37 @@ O3Core::renameStage()
         }
 
         if (op.isMem())
-            lsq_.insert(entry.seq, op.mem_addr, op.isStore());
-        if (fp)
-            fp_iq_.insert(entry.seq);
-        else
-            int_iq_.insert(entry.seq);
+            entry.lsq_index =
+                lsq_.insert(entry.seq, op.mem_addr, op.isStore());
+        (fp ? fp_iq_ : int_iq_).insert(entry.seq,
+                                       entry.pending_srcs == 0);
 
         fetch_queue_.pop_front();
         ++done;
     }
+    return done > 0;
 }
 
-void
+bool
 O3Core::fetchStage()
 {
+    bool progress = false;
     if (waiting_resteer_) {
         if (now_ < fetch_resume_cycle_)
-            return;
+            return false;
         waiting_resteer_ = false;
+        progress = true;
     }
     if (now_ < icache_ready_cycle_)
-        return;
+        return progress;
 
     const Cycle i_hit = config_.mem.l1i.hit_latency;
     unsigned fetched = 0;
     while (fetched < config_.fetch_width &&
            fetch_queue_.size() < config_.fetch_queue_entries) {
+        // Every pass changes state: it draws the next op, accesses a
+        // new I-cache line, or queues the held op.
+        progress = true;
         if (!pending_)
             pending_ = gen_.next();
 
@@ -259,7 +259,7 @@ O3Core::fetchStage()
             const Cycle lat = mem_.fetch(pending_->pc);
             if (lat > i_hit) {
                 icache_ready_cycle_ = now_ + (lat - i_hit);
-                return; // op stays pending until the line arrives
+                return true; // op stays pending until the line arrives
             }
         }
 
@@ -290,6 +290,29 @@ O3Core::fetchStage()
         if (stop_after)
             break;
     }
+    return progress;
+}
+
+void
+O3Core::skipQuietCycles()
+{
+    // The cycle just simulated changed no state, so every later
+    // cycle repeats it until a timed event: a completion, the end of
+    // a redirect, or the end of an I-cache or BTB-miss stall. Jump
+    // to the cycle before the earliest of them, but no further than
+    // where the watchdog fires, so it reports the same cycle.
+    Cycle next = inflight_.empty() ? kNever : inflight_.top().cycle;
+    if (waiting_resteer_)
+        next = std::min(next, fetch_resume_cycle_);
+    if (icache_ready_cycle_ > now_)
+        next = std::min(next, icache_ready_cycle_);
+    const Cycle target =
+        std::min(next - 1, last_commit_cycle_ + kDeadlockWindow + 1);
+    if (target <= now_)
+        return;
+    fu_pool_.creditIdle(target - now_);
+    skipped_ += target - now_;
+    now_ = target;
 }
 
 SimResult
@@ -304,13 +327,15 @@ O3Core::run(std::uint64_t max_insts)
         fu_pool_.beginCycle();
         dcache_ports_used_ = 0;
 
-        commitStage();
-        writebackStage();
-        issueStage();
-        renameStage();
-        fetchStage();
+        bool progress = commitStage();
+        progress |= writebackStage();
+        progress |= issueStage();
+        progress |= renameStage();
+        progress |= fetchStage();
 
         fu_pool_.endCycle();
+        if (!progress)
+            skipQuietCycles();
 
         if (now_ - last_commit_cycle_ > kDeadlockWindow)
             panic("no commit for %llu cycles at cycle %llu "

@@ -16,6 +16,21 @@
  * (back-to-back single-cycle dependencies, as real bypass networks
  * provide).
  *
+ * The loop does work only where state can change:
+ *  - Wakeup. Rename lists each instruction on the physical registers
+ *    it still waits for and counts them in RobEntry::pending_srcs;
+ *    writeback counts its consumers down and moves those that reach
+ *    zero into their issue queue's ready list. Issue visits ready
+ *    entries only, and the LSQ answers the load condition in O(1).
+ *  - Event skipping. A cycle in which no stage changed any state is
+ *    repeated exactly by every later cycle until a timed event: the
+ *    earliest in-flight completion, the end of a mispredict
+ *    redirect, or the end of an I-cache or BTB-miss stall. After
+ *    such a cycle the core jumps to the cycle before that event and
+ *    credits every integer FU the skipped cycles as idle in one
+ *    FuPool::creditIdle call. Output is identical to simulating
+ *    every cycle.
+ *
  * The trace is pre-executed, so wrong-path instructions are never
  * fetched; the cost of misprediction is charged as a fetch stall
  * from the branch's fetch until its execution plus the configured
@@ -27,7 +42,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
+#include <queue>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -94,6 +111,9 @@ class O3Core
     const CoreConfig &config() const { return config_; }
     Cycle now() const { return now_; }
 
+    /** Cycles jumped over by event skipping (included in now()). */
+    Cycle cyclesSkipped() const { return skipped_; }
+
   private:
     /** Fetch queue entry: a fetched op plus front-end annotations. */
     struct FetchedOp
@@ -102,15 +122,31 @@ class O3Core
         bool resteer = false; ///< mispredicted; redirect at execute
     };
 
-    void commitStage();
-    void writebackStage();
-    void issueStage();
-    void renameStage();
-    void fetchStage();
+    /** An issued instruction and the cycle its result is ready. */
+    struct Completion
+    {
+        Cycle cycle;
+        std::uint64_t seq;
 
-    bool sourcesReady(const RobEntry &entry) const;
+        bool
+        operator>(const Completion &other) const
+        {
+            return cycle != other.cycle ? cycle > other.cycle
+                                        : seq > other.seq;
+        }
+    };
+
+    // Each stage returns true when it changed any state.
+    bool commitStage();
+    bool writebackStage();
+    bool issueStage();
+    bool renameStage();
+    bool fetchStage();
+
+    /** After a cycle without progress: jump to the next event. */
+    void skipQuietCycles();
+
     RenameMap &fileOf(int logical_reg);
-    const RenameMap &fileOf(int logical_reg) const;
 
     CoreConfig config_;
     trace::TraceGenerator &gen_;
@@ -127,10 +163,13 @@ class O3Core
     std::deque<FetchedOp> fetch_queue_;
     std::optional<trace::MicroOp> pending_;
 
-    /** Seqs issued but not yet completed (writeback work list). */
-    std::vector<std::uint64_t> inflight_;
+    /** Issued, not yet completed; earliest completion on top. */
+    std::priority_queue<Completion, std::vector<Completion>,
+                        std::greater<>>
+        inflight_;
 
     Cycle now_ = 0;
+    Cycle skipped_ = 0;
     std::uint64_t committed_ = 0;
     bool ran_ = false;
 

@@ -17,25 +17,35 @@ namespace lsim::cpu
 {
 
 /**
- * Capacity-bounded, age-ordered collection of waiting instruction
- * sequence numbers. Insertions arrive in program order, so the
- * underlying vector stays age-sorted; removal compacts it.
+ * Capacity-bounded collection of dispatched instructions. An entry
+ * is either waiting for a source operand or ready; only ready
+ * entries are offered for issue, oldest first. Waiting entries are
+ * counted but not stored: the core's wakeup lists name them, and
+ * wake() moves one into the age-sorted ready list when its last
+ * source is written back.
  */
 class IssueQueue
 {
   public:
     explicit IssueQueue(unsigned capacity);
 
-    bool full() const { return seqs_.size() == capacity_; }
-    bool empty() const { return seqs_.empty(); }
-    std::size_t size() const { return seqs_.size(); }
+    bool full() const { return size_ == capacity_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
     unsigned capacity() const { return capacity_; }
 
-    /** Insert @p seq (program order); panics when full. */
-    void insert(std::uint64_t seq);
+    /**
+     * Insert @p seq (program order). A @p ready entry can issue
+     * from the next selectIssue(); otherwise it waits for wake().
+     * Panics when full.
+     */
+    void insert(std::uint64_t seq, bool ready);
+
+    /** Make waiting entry @p seq ready (its last source arrived). */
+    void wake(std::uint64_t seq);
 
     /**
-     * Visit waiting instructions oldest-first; @p fn returns true to
+     * Visit ready instructions oldest-first; @p fn returns true to
      * issue (remove) the entry, false to leave it. Iteration
      * continues over the remaining entries either way; @p fn may
      * stop the scan early by calling the provided stop token.
@@ -48,21 +58,29 @@ class IssueQueue
     {
         std::size_t out = 0;
         bool stopped = false;
-        for (std::size_t i = 0; i < seqs_.size(); ++i) {
-            if (!stopped && fn(seqs_[i], stopped)) {
+        for (std::size_t i = 0; i < ready_.size(); ++i) {
+            if (!stopped && fn(ready_[i], stopped)) {
+                --size_;
                 continue; // issued: drop from the queue
             }
-            seqs_[out++] = seqs_[i];
+            ready_[out++] = ready_[i];
         }
-        seqs_.resize(out);
+        ready_.resize(out);
     }
 
     /** Drop everything (used only by tests). */
-    void clear() { seqs_.clear(); }
+    void
+    clear()
+    {
+        ready_.clear();
+        size_ = 0;
+    }
 
   private:
     unsigned capacity_;
-    std::vector<std::uint64_t> seqs_;
+    std::size_t size_ = 0;         ///< waiting plus ready entries
+    std::uint64_t last_seq_ = 0;   ///< youngest seq inserted
+    std::vector<std::uint64_t> ready_; ///< ready seqs, oldest first
 };
 
 } // namespace lsim::cpu

@@ -1,6 +1,6 @@
 #include "cpu/lsq.hh"
 
-#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "common/logging.hh"
@@ -15,86 +15,102 @@ LoadStoreQueue::LoadStoreQueue(unsigned load_entries,
     if (load_cap_ == 0 || store_cap_ == 0)
         throw std::invalid_argument(
             "LoadStoreQueue: zero capacity");
-    entries_.reserve(load_cap_ + store_cap_);
+    ring_.resize(std::bit_ceil(std::size_t{load_cap_} + store_cap_));
+    mask_ = ring_.size() - 1;
+}
+
+std::size_t
+LoadStoreQueue::offsetOf(int slot, const char *caller) const
+{
+    if (slot < 0 || static_cast<std::size_t>(slot) >= ring_.size() ||
+        !ring_[slot].valid)
+        panic("LoadStoreQueue::%s: slot %d not present", caller, slot);
+    return (static_cast<std::size_t>(slot) - head_) & mask_;
 }
 
 void
+LoadStoreQueue::advanceResolved()
+{
+    while (resolved_ < size_) {
+        const LsqEntry &e = ring_[(head_ + resolved_) & mask_];
+        if (e.is_store && !e.addr_ready)
+            return;
+        ++resolved_;
+    }
+}
+
+int
 LoadStoreQueue::insert(std::uint64_t seq, Addr addr, bool is_store)
 {
     if (is_store && !canInsertStore())
         panic("LoadStoreQueue: store insert when full");
     if (!is_store && !canInsertLoad())
         panic("LoadStoreQueue: load insert when full");
-    if (!entries_.empty() && entries_.back().seq >= seq)
+    if (size_ > 0 && seq <= last_seq_)
         panic("LoadStoreQueue: insert out of program order");
 
-    LsqEntry e;
+    const std::size_t slot = (head_ + size_) & mask_;
+    LsqEntry &e = ring_[slot];
     e.seq = seq;
     e.addr = addr;
     e.is_store = is_store;
     e.addr_ready = false;
     e.valid = true;
-    entries_.push_back(e);
+    ++size_;
+    last_seq_ = seq;
     if (is_store)
         ++num_stores_;
     else
         ++num_loads_;
+    advanceResolved();
+    return static_cast<int>(slot);
 }
 
 void
-LoadStoreQueue::setAddrReady(std::uint64_t seq)
+LoadStoreQueue::setAddrReady(int slot)
 {
-    for (auto &e : entries_) {
-        if (e.seq == seq) {
-            e.addr_ready = true;
-            return;
-        }
-    }
-    panic("LoadStoreQueue::setAddrReady: seq %llu not present",
-          static_cast<unsigned long long>(seq));
+    (void)offsetOf(slot, "setAddrReady");
+    ring_[slot].addr_ready = true;
+    advanceResolved();
 }
 
 bool
-LoadStoreQueue::olderStoresReady(std::uint64_t seq) const
+LoadStoreQueue::olderStoresReady(int slot) const
 {
-    for (const auto &e : entries_) {
-        if (e.seq >= seq)
-            break;
-        if (e.is_store && !e.addr_ready)
-            return false;
-    }
-    return true;
+    return offsetOf(slot, "olderStoresReady") <= resolved_;
 }
 
 bool
-LoadStoreQueue::forwardsFromStore(std::uint64_t seq, Addr addr) const
+LoadStoreQueue::forwardsFromStore(int slot) const
 {
-    const Addr word = addr >> 3;
-    bool forwards = false;
-    for (const auto &e : entries_) {
-        if (e.seq >= seq)
-            break;
+    const std::size_t older = offsetOf(slot, "forwardsFromStore");
+    const Addr word = ring_[slot].addr >> 3;
+    for (std::size_t i = 0; i < older; ++i) {
+        const LsqEntry &e = ring_[(head_ + i) & mask_];
         if (e.is_store && e.addr_ready && (e.addr >> 3) == word)
-            forwards = true; // youngest older store wins; keep scanning
+            return true;
     }
-    return forwards;
+    return false;
 }
 
 void
 LoadStoreQueue::remove(std::uint64_t seq)
 {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->seq == seq) {
-            if (it->is_store)
-                --num_stores_;
-            else
-                --num_loads_;
-            entries_.erase(it);
-            return;
-        }
-    }
-    panic("LoadStoreQueue::remove: seq %llu not present",
-          static_cast<unsigned long long>(seq));
+    LsqEntry &e = ring_[head_];
+    if (size_ == 0 || e.seq != seq)
+        panic("LoadStoreQueue::remove: seq %llu not present at the "
+              "head",
+              static_cast<unsigned long long>(seq));
+    if (e.is_store)
+        --num_stores_;
+    else
+        --num_loads_;
+    e.valid = false;
+    head_ = (head_ + 1) & mask_;
+    --size_;
+    if (resolved_ > 0)
+        --resolved_;
+    advanceResolved();
 }
 
 } // namespace lsim::cpu

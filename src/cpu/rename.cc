@@ -18,6 +18,7 @@ RenameMap::RenameMap(unsigned num_logical, unsigned num_physical)
             " logical registers");
     map_.resize(num_logical_);
     ready_.assign(num_physical_, false);
+    consumers_.resize(num_physical_);
     // Architectural state occupies physical registers [0, logical);
     // these hold committed values and are ready.
     for (unsigned i = 0; i < num_logical_; ++i) {
@@ -46,6 +47,9 @@ RenameMap::allocate(int logical, int &prev_phys)
         panic("RenameMap::allocate: bad logical register %d", logical);
     const int phys = free_list_.back();
     free_list_.pop_back();
+    if (!consumers_[phys].empty())
+        panic("RenameMap::allocate: physical register %d still has "
+              "waiting consumers", phys);
     prev_phys = map_[logical];
     map_[logical] = phys;
     ready_[phys] = false;
@@ -76,6 +80,17 @@ RenameMap::setReady(int phys)
     if (phys < 0 || phys >= static_cast<int>(num_physical_))
         panic("RenameMap::setReady: bad physical register %d", phys);
     ready_[phys] = true;
+}
+
+void
+RenameMap::addConsumer(int phys, std::uint64_t seq)
+{
+    if (phys < 0 || phys >= static_cast<int>(num_physical_))
+        panic("RenameMap::addConsumer: bad physical register %d", phys);
+    if (ready_[phys])
+        panic("RenameMap::addConsumer: physical register %d is ready",
+              phys);
+    consumers_[phys].push_back(seq);
 }
 
 } // namespace lsim::cpu

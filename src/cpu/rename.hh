@@ -3,6 +3,9 @@
  * Register renaming: logical-to-physical map, free list, and a
  * physical-register ready scoreboard for one register file (the core
  * instantiates one for the integer file and one for the FP file).
+ * Each physical register also lists the in-flight instructions
+ * waiting for its value, so writeback wakes exactly those consumers
+ * instead of the issue queue polling every source every cycle.
  *
  * The conventional scheme: rename allocates a fresh physical
  * register for each destination and remembers the previous mapping;
@@ -67,6 +70,30 @@ class RenameMap
     /** Mark @p phys as holding its value (writeback). */
     void setReady(int phys);
 
+    /**
+     * List instruction @p seq as waiting for @p phys, which must not
+     * be ready yet (rename). An instruction reading @p phys twice is
+     * listed twice.
+     */
+    void addConsumer(int phys, std::uint64_t seq);
+
+    /**
+     * Writeback: mark @p phys ready, then pass each consumer listed
+     * on it to @p fn in listing order and empty the list.
+     *
+     * @tparam Fn callable (std::uint64_t seq).
+     */
+    template <typename Fn>
+    void
+    wakeConsumers(int phys, Fn &&fn)
+    {
+        setReady(phys);
+        std::vector<std::uint64_t> &list = consumers_[phys];
+        for (const std::uint64_t seq : list)
+            fn(seq);
+        list.clear();
+    }
+
     unsigned numLogical() const { return num_logical_; }
     unsigned numPhysical() const { return num_physical_; }
 
@@ -76,6 +103,8 @@ class RenameMap
     std::vector<int> map_;          ///< logical -> physical
     std::vector<int> free_list_;    ///< LIFO free pool
     std::vector<bool> ready_;       ///< physical ready bits
+    /** Per physical register: instructions waiting for its value. */
+    std::vector<std::vector<std::uint64_t>> consumers_;
 };
 
 } // namespace lsim::cpu

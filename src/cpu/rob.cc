@@ -22,7 +22,9 @@ ReorderBuffer::allocate()
 {
     if (full())
         panic("ReorderBuffer::allocate when full");
-    const std::size_t slot = (head_ + size_) % capacity_;
+    std::size_t slot = head_ + size_;
+    if (slot >= capacity_)
+        slot -= capacity_;
     ++size_;
     RobEntry &entry = entries_[slot];
     entry = RobEntry{};
@@ -51,7 +53,8 @@ ReorderBuffer::popHead()
 {
     if (empty())
         panic("ReorderBuffer::popHead when empty");
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_)
+        head_ = 0;
     --size_;
     ++head_seq_;
 }
@@ -59,7 +62,10 @@ ReorderBuffer::popHead()
 std::size_t
 ReorderBuffer::slotOf(std::uint64_t seq) const
 {
-    return (head_ + (seq - head_seq_)) % capacity_;
+    // seq is in flight, so the offset from the head is below the
+    // capacity and one wrap suffices.
+    const std::size_t slot = head_ + (seq - head_seq_);
+    return slot >= capacity_ ? slot - capacity_ : slot;
 }
 
 RobEntry &

@@ -43,7 +43,9 @@ struct RobEntry
 
     /** Redirect fetch when this instruction completes (mispredict). */
     bool resteer = false;
-    /** Index in the load/store queue, or -1. */
+    /** Source operands not yet written back (wakeup counter). */
+    std::uint8_t pending_srcs = 0;
+    /** Slot in the load/store queue, or -1. */
     int lsq_index = -1;
 };
 

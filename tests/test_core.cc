@@ -202,6 +202,39 @@ TEST(CoreDeath, SinkAfterRunPanics)
                  "after run");
 }
 
+TEST(CoreDeath, WatchdogFiresAcrossASkippedStall)
+{
+    // The first instruction fetch misses to a 300k-cycle memory, so
+    // nothing commits for longer than the 200k-cycle deadlock window.
+    // Event skipping jumps over the stall and must stop where the
+    // watchdog fires, reporting the same cycle as stepping would.
+    CoreConfig slow;
+    slow.mem.memory_latency = 300000;
+    TraceGenerator gen(testProfile(), 10);
+    O3Core core(slow, gen);
+    EXPECT_DEATH(core.run(100),
+                 "no commit for 200000 cycles at cycle 200001 "
+                 "\\(rob=0 iq=0 fq=0\\)");
+}
+
+TEST(Core, SkippedCyclesAreCountedAndIdle)
+{
+    // mcf waits on memory most of the time: a large share of its
+    // cycles is skipped, and the skipped cycles are FU-idle cycles
+    // inside the run's total.
+    TraceGenerator gen(profileByName("mcf"), 1);
+    O3Core core(CoreConfig{}.withIntFus(2), gen);
+    Cycle total[2] = {0, 0};
+    core.setFuRunSink([&](unsigned fu, bool, Cycle len) {
+        total[fu] += len;
+    });
+    const auto res = core.run(20000);
+    EXPECT_GT(core.cyclesSkipped(), res.cycles / 4);
+    EXPECT_LT(core.cyclesSkipped(), res.cycles);
+    EXPECT_EQ(total[0], res.cycles);
+    EXPECT_EQ(total[1], res.cycles);
+}
+
 TEST(Core, ConfigValidation)
 {
     TraceGenerator gen(testProfile(), 8);
