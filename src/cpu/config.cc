@@ -1,20 +1,26 @@
 #include "cpu/config.hh"
 
 #include <bit>
-
-#include "common/logging.hh"
+#include <stdexcept>
+#include <string>
 
 namespace lsim::cpu
 {
 
 namespace
 {
+[[noreturn]] void
+reject(const std::string &what)
+{
+    throw std::invalid_argument("CoreConfig: " + what);
+}
+
 void
 requirePow2(unsigned value, const char *what)
 {
     if (value == 0 || !std::has_single_bit(value))
-        fatal("CoreConfig: %s (%u) must be a nonzero power of two",
-              what, value);
+        reject(std::string(what) + " (" + std::to_string(value) +
+               ") must be a nonzero power of two");
 }
 } // namespace
 
@@ -26,11 +32,12 @@ BpredConfig::validate() const
     requirePow2(chooser_entries, "chooser entries");
     requirePow2(btb_sets, "BTB sets");
     if (hist_bits == 0 || hist_bits > 20)
-        fatal("CoreConfig: history bits %u outside [1,20]", hist_bits);
+        reject("history bits " + std::to_string(hist_bits) +
+               " outside [1,20]");
     if (ras_entries == 0)
-        fatal("CoreConfig: RAS must have at least one entry");
+        reject("RAS must have at least one entry");
     if (btb_assoc == 0)
-        fatal("CoreConfig: BTB associativity must be nonzero");
+        reject("BTB associativity must be nonzero");
 }
 
 void
@@ -38,20 +45,20 @@ CoreConfig::validate() const
 {
     if (fetch_width == 0 || decode_width == 0 || issue_width == 0 ||
         commit_width == 0)
-        fatal("CoreConfig: zero pipeline width");
+        reject("zero pipeline width");
     if (fetch_queue_entries == 0 || rob_entries == 0 ||
         int_iq_entries == 0 || fp_iq_entries == 0)
-        fatal("CoreConfig: zero queue capacity");
+        reject("zero queue capacity");
     if (int_phys_regs < 32 || fp_phys_regs < 32)
-        fatal("CoreConfig: need at least 32 physical registers per "
-              "file (architectural state)");
+        reject("need at least 32 physical registers per file "
+               "(architectural state)");
     if (num_int_fus == 0 || num_int_fus > 8)
-        fatal("CoreConfig: integer FU count %u outside [1,8]",
-              num_int_fus);
+        reject("integer FU count " + std::to_string(num_int_fus) +
+               " outside [1,8]");
     if (num_fp_fus == 0)
-        fatal("CoreConfig: need at least one FP unit");
+        reject("need at least one FP unit");
     if (dcache_ports == 0)
-        fatal("CoreConfig: need at least one D-cache port");
+        reject("need at least one D-cache port");
     bpred.validate();
 }
 

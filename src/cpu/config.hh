@@ -25,6 +25,7 @@ struct BpredConfig
     unsigned btb_sets = 4096;         ///< BTB sets
     unsigned btb_assoc = 2;           ///< BTB associativity
 
+    /** @throws std::invalid_argument naming the bad parameter. */
     void validate() const;
 };
 
@@ -60,6 +61,11 @@ struct CoreConfig
     BpredConfig bpred;
     cache::HierarchyConfig mem;
 
+    /**
+     * Check the core parameters and the predictor's (the caches
+     * check their own when built).
+     * @throws std::invalid_argument naming the bad parameter.
+     */
     void validate() const;
 
     /** @return a copy with @p n integer functional units. */

@@ -14,10 +14,19 @@ using trace::OpClass;
 namespace
 {
 constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+/** @p config once validated: checked before any member is built, so
+ * a bad configuration reports CoreConfig's message, not a member's. */
+const CoreConfig &
+validated(const CoreConfig &config)
+{
+    config.validate();
+    return config;
+}
 } // namespace
 
 O3Core::O3Core(const CoreConfig &config, trace::TraceGenerator &gen)
-    : config_(config),
+    : config_(validated(config)),
       gen_(gen),
       mem_(config.mem),
       bpred_(config.bpred),
@@ -29,7 +38,6 @@ O3Core::O3Core(const CoreConfig &config, trace::TraceGenerator &gen)
       lsq_(config.load_queue_entries, config.store_queue_entries),
       fu_pool_(config.num_int_fus)
 {
-    config_.validate();
 }
 
 void

@@ -87,9 +87,11 @@ class O3Core
 {
   public:
     /**
-     * @param config Machine configuration (validated).
+     * @param config Machine configuration, validated before any part
+     *        of the core is built.
      * @param gen Dynamic instruction source (not owned; must outlive
      *        the core).
+     * @throws std::invalid_argument for an invalid @p config.
      */
     O3Core(const CoreConfig &config, trace::TraceGenerator &gen);
 

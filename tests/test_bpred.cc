@@ -3,6 +3,9 @@
  * Unit tests for the combined branch predictor.
  */
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "cpu/bpred.hh"
@@ -162,16 +165,24 @@ TEST(BpredDeath, NonControlOp)
     EXPECT_DEATH((void)bp.predict(op), "non-control");
 }
 
-TEST(BpredDeath, ConfigValidation)
+TEST(Bpred, ConfigValidationThrows)
 {
+    const auto message = [](const BpredConfig &config) {
+        try {
+            BranchPredictor bp(config);
+        } catch (const std::invalid_argument &err) {
+            return std::string(err.what());
+        }
+        return std::string("no exception");
+    };
     BpredConfig bad;
     bad.bimodal_entries = 1000; // not a power of two
-    EXPECT_EXIT(BranchPredictor bp(bad),
-                ::testing::ExitedWithCode(1), "power of two");
+    EXPECT_EQ(message(bad), "CoreConfig: bimodal entries (1000) must "
+                            "be a nonzero power of two");
     BpredConfig bad2;
     bad2.hist_bits = 0;
-    EXPECT_EXIT(BranchPredictor bp2(bad2),
-                ::testing::ExitedWithCode(1), "history bits");
+    EXPECT_EQ(message(bad2),
+              "CoreConfig: history bits 0 outside [1,20]");
 }
 
 } // namespace

@@ -4,6 +4,7 @@
  */
 
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -238,14 +239,55 @@ TEST(Core, SkippedCyclesAreCountedAndIdle)
 TEST(Core, ConfigValidation)
 {
     TraceGenerator gen(testProfile(), 8);
-    // Subcomponents reject bad parameters during member
-    // construction, before CoreConfig::validate() runs.
+    // The configuration is validated before any member is built, so
+    // CoreConfig's message wins over the members' own checks.
+    const auto message = [&](const CoreConfig &config) {
+        try {
+            O3Core core(config, gen);
+        } catch (const std::invalid_argument &err) {
+            return std::string(err.what());
+        }
+        return std::string("no exception");
+    };
     CoreConfig bad;
     bad.num_int_fus = 0;
-    EXPECT_THROW(O3Core(bad, gen), std::invalid_argument);
+    EXPECT_EQ(message(bad), "CoreConfig: integer FU count 0 outside [1,8]");
+    bad.num_int_fus = 9;
+    EXPECT_EQ(message(bad), "CoreConfig: integer FU count 9 outside [1,8]");
     CoreConfig bad2;
     bad2.int_phys_regs = 16;
-    EXPECT_THROW(O3Core(bad2, gen), std::invalid_argument);
+    EXPECT_EQ(message(bad2),
+              "CoreConfig: need at least 32 physical registers per "
+              "file (architectural state)");
+    CoreConfig bad3;
+    bad3.rob_entries = 0;
+    EXPECT_EQ(message(bad3), "CoreConfig: zero queue capacity");
+}
+
+TEST(Core, ConfigValidateThrowsForEveryBadParameter)
+{
+    const auto expectRejected = [](auto mutate) {
+        CoreConfig config;
+        mutate(config);
+        EXPECT_THROW(config.validate(), std::invalid_argument);
+    };
+    EXPECT_NO_THROW(CoreConfig{}.validate());
+    expectRejected([](CoreConfig &c) { c.fetch_width = 0; });
+    expectRejected([](CoreConfig &c) { c.commit_width = 0; });
+    expectRejected([](CoreConfig &c) { c.fetch_queue_entries = 0; });
+    expectRejected([](CoreConfig &c) { c.fp_iq_entries = 0; });
+    expectRejected([](CoreConfig &c) { c.fp_phys_regs = 31; });
+    expectRejected([](CoreConfig &c) { c.num_int_fus = 9; });
+    expectRejected([](CoreConfig &c) { c.num_fp_fus = 0; });
+    expectRejected([](CoreConfig &c) { c.dcache_ports = 0; });
+    expectRejected([](CoreConfig &c) { c.bpred.bimodal_entries = 0; });
+    expectRejected([](CoreConfig &c) { c.bpred.gshare_entries = 3000; });
+    expectRejected([](CoreConfig &c) { c.bpred.chooser_entries = 6; });
+    expectRejected([](CoreConfig &c) { c.bpred.btb_sets = 100; });
+    expectRejected([](CoreConfig &c) { c.bpred.hist_bits = 0; });
+    expectRejected([](CoreConfig &c) { c.bpred.hist_bits = 21; });
+    expectRejected([](CoreConfig &c) { c.bpred.ras_entries = 0; });
+    expectRejected([](CoreConfig &c) { c.bpred.btb_assoc = 0; });
 }
 
 /** IPC responds sensibly across FU counts for every benchmark. */
