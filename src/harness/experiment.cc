@@ -13,14 +13,19 @@ namespace lsim::harness
 namespace
 {
 
-/** Make one O3 run's work visible in the metrics registry. */
+/** Make one finished O3 run's work visible in the metrics
+ * registry. */
 void
-countCoreRun(const cpu::SimResult &res)
+countCoreRun(const cpu::O3Core &core, const cpu::SimResult &res)
 {
     static obs::Counter &runs = obs::counter("sim.core_runs");
     static obs::Counter &insts = obs::counter("sim.insts");
+    static obs::Counter &cycles = obs::counter("sim.cycles");
+    static obs::Counter &skipped = obs::counter("sim.cycles_skipped");
     runs.add();
     insts.add(res.committed);
+    cycles.add(res.cycles);
+    skipped.add(core.cyclesSkipped());
 }
 
 } // namespace
@@ -85,7 +90,7 @@ simulateWorkload(const trace::WorkloadProfile &profile,
         ws.idle.addRun(busy, len);
     });
     ws.sim = core.run(insts);
-    countCoreRun(ws.sim);
+    countCoreRun(core, ws.sim);
 
     // Figure 7 combination rule: each FU's histogram contributes as
     // a fraction of that FU's own total time, averaged over the
@@ -137,7 +142,7 @@ selectFuCount(const trace::WorkloadProfile &profile,
         trace::TraceGenerator gen(profile, seed);
         cpu::O3Core core(base.withIntFus(n), gen);
         const auto res = core.run(insts);
-        countCoreRun(res);
+        countCoreRun(core, res);
         ipc_by_fus[n - 1] = res.ipc;
     }
     return chooseFuCount(ipc_by_fus, threshold);

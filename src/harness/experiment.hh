@@ -87,7 +87,9 @@ struct WorkloadSim
  * Simulate @p profile for @p insts committed instructions on a core
  * with @p num_fus integer units. Every O3 run of this module, the
  * selection runs of selectFuCount included, adds to the
- * `sim.core_runs` and `sim.insts` counters.
+ * `sim.core_runs`, `sim.insts`, `sim.cycles` and `sim.cycles_skipped`
+ * counters (the last counts cycles the core's event skipping jumped
+ * over).
  *
  * @param base Base machine configuration (FU count is overridden).
  * @param seed Trace generator seed.

@@ -8,6 +8,7 @@
 
 #include "harness/benchmarks.hh"
 #include "harness/experiment.hh"
+#include "obs/metrics.hh"
 #include "trace/profile.hh"
 
 namespace
@@ -102,6 +103,29 @@ TEST(Harness, SimulateWorkloadConsistency)
     // fraction (per-FU fractions averaged over the unit count).
     EXPECT_NEAR(ws.idle_hist.totalWeight(),
                 ws.sim.mean_fu_idle_fraction, 0.01);
+}
+
+TEST(Harness, SimulationsCountCyclesAndSkippedCycles)
+{
+    const auto value = [](const char *name) {
+        return lsim::obs::counter(name).value();
+    };
+    const std::uint64_t cycles = value("sim.cycles");
+    const std::uint64_t skipped = value("sim.cycles_skipped");
+    const auto ws = simulateWorkload(profileByName("mcf"), 2, 20000);
+    const std::uint64_t run_cycles = value("sim.cycles") - cycles;
+    const std::uint64_t run_skipped =
+        value("sim.cycles_skipped") - skipped;
+    EXPECT_EQ(run_cycles, ws.sim.cycles);
+    // mcf waits on memory: many of its cycles change no state.
+    EXPECT_GT(run_skipped, 0u);
+    EXPECT_LT(run_skipped, run_cycles);
+
+    // Selection runs count too: the same trace at 1-4 FUs, so the
+    // 2-FU run again, a slower 1-FU run and two more.
+    (void)selectFuCount(profileByName("mcf"), 20000);
+    EXPECT_GT(value("sim.cycles") - cycles, 3 * run_cycles);
+    EXPECT_GT(value("sim.cycles_skipped") - skipped, 2 * run_skipped);
 }
 
 TEST(Harness, SelectFuCountReasonable)
