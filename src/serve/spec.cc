@@ -57,10 +57,18 @@ sweepConfigFromJson(const JsonValue &v, std::size_t index)
             } else if (key == "seed") {
                 cfg.seed = value.asU64();
             } else if (key == "fus") {
-                if (value.isString() && value.asString() == "auto")
+                if (value.isString() && value.asString() == "auto") {
                     cfg.fus = api::auto_select;
-                else
-                    cfg.fus = asU32(value, "fus");
+                } else {
+                    // 0 is api::auto_select's value: without this
+                    // check it would silently mean "auto".
+                    const std::uint64_t n = value.asU64();
+                    if (n == 0 || n > 8)
+                        throw std::invalid_argument(
+                            "bad fus '" + std::to_string(n) +
+                            "': expected a count in 1-8 or 'auto'");
+                    cfg.fus = static_cast<unsigned>(n);
+                }
             } else {
                 throw std::invalid_argument("unknown field '" + key +
                                             "'");

@@ -100,10 +100,20 @@ TEST(Spec, RejectsMalformedDocuments)
           R"({"sweeps": [{}], "bogus": 1})",            // unknown top field
           R"({"sweeps": [{"bogus": 1}]})",              // unknown sweep field
           R"({"sweeps": [{"steps": 0}]})",              // pSweep rejects
-          R"({"sweeps": [{"insts": -5}]})"})            // negative u64
+          R"({"sweeps": [{"insts": -5}]})",             // negative u64
+          R"({"sweeps": [{"fus": 0}]})",                // 0 is not auto
+          R"({"sweeps": [{"fus": 9}]})"})               // FU pool max 8
         EXPECT_THROW((void)batchConfigFromJson(parseJson(bad)),
                      std::invalid_argument)
             << bad;
+    try {
+        (void)batchConfigFromJson(
+            parseJson(R"({"sweeps": [{"fus": 9}]})"));
+        ADD_FAILURE() << "fus 9 accepted";
+    } catch (const std::invalid_argument &err) {
+        EXPECT_STREQ(err.what(), "batch spec sweep 0: bad fus '9': "
+                                 "expected a count in 1-8 or 'auto'");
+    }
 }
 
 TEST(Daemon, OnceExecutesSpecByteIdenticalToBatch)

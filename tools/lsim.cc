@@ -128,6 +128,18 @@ parseU32(const std::string &text, const std::string &what)
     return static_cast<unsigned>(v);
 }
 
+/** An explicit --fus count: 1-8, the range the FU pool models
+ * (callers handle 'auto' first). */
+unsigned
+parseFus(const std::string &text)
+{
+    const auto n = parseU32(text, "--fus");
+    if (n == 0 || n > 8)
+        die("bad --fus '" + text + "': expected a count in 1-8 or "
+            "'auto'");
+    return n;
+}
+
 std::vector<std::string>
 splitList(const std::string &text)
 {
@@ -469,12 +481,8 @@ builderFor(const Args &args, const std::string &bench,
     const std::string fus = args.flagOrPositional("fus", fus_pos);
     if (fus == "auto")
         builder.fus(api::auto_select);
-    else if (!fus.empty()) {
-        const auto n = parseU32(fus, "--fus");
-        if (n == 0)
-            die("bad --fus '0': expected a positive count or 'auto'");
-        builder.fus(n);
-    }
+    else if (!fus.empty())
+        builder.fus(parseFus(fus));
     return builder;
 }
 
@@ -758,7 +766,7 @@ cmdProfileExport(const Args &args)
     if (fus == "auto")
         task.fus = api::auto_select;
     else if (!fus.empty())
-        task.fus = parseU32(fus, "--fus");
+        task.fus = parseFus(fus);
 
     const std::string key = task.fingerprint();
     const auto ws = task.run();
