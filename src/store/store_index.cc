@@ -78,15 +78,36 @@ entryFromJson(const JsonValue &v)
     return {key, entry};
 }
 
+/** Open the index document of @p generation up to its entries. */
+void
+beginIndex(JsonWriter &w, std::uint64_t generation)
+{
+    w.beginObject();
+    w.field("version", static_cast<std::uint64_t>(kIndexVersion));
+    w.field("generation", generation);
+    w.beginArray("entries");
+}
+
+/** The bytes save() writes ahead of the entries for @p generation:
+ * the fast path compares them with the start of the file. */
+std::string
+indexHeader(std::uint64_t generation)
+{
+    std::ostringstream ss;
+    JsonWriter w(ss);
+    beginIndex(w, generation);
+    return ss.str();
+}
+
 } // namespace
 
 StoreIndex::StoreIndex(std::string dir)
     : dir_(std::move(dir))
 {
-    loadDisk(&entries_, &generation_);
+    image_bytes_ = loadDisk(&entries_, &generation_);
 }
 
-void
+std::optional<std::uint64_t>
 StoreIndex::loadDisk(std::map<std::string, IndexEntry> *entries,
                      std::uint64_t *generation) const
 {
@@ -94,11 +115,12 @@ StoreIndex::loadDisk(std::map<std::string, IndexEntry> *entries,
     *generation = 0;
     std::ifstream in(path(), std::ios::binary);
     if (!in)
-        return; // no index yet: empty, rebuilt lazily
+        return std::nullopt; // no index yet: empty, rebuilt lazily
     std::ostringstream ss;
     ss << in.rdbuf();
+    const std::string text = ss.str();
     try {
-        const JsonValue doc = parseJson(ss.str());
+        const JsonValue doc = parseJson(text);
         const std::uint64_t version = doc.at("version").asU64();
         if (version != kIndexVersion &&
             version != kIndexVersionNoGeneration)
@@ -114,7 +136,24 @@ StoreIndex::loadDisk(std::map<std::string, IndexEntry> *entries,
              path().c_str(), err.what());
         entries->clear();
         *generation = 0;
+        return std::nullopt;
     }
+    return text.size();
+}
+
+bool
+StoreIndex::diskHoldsImage() const
+{
+    if (!image_bytes_)
+        return false;
+    std::ifstream in(path(), std::ios::binary | std::ios::ate);
+    if (!in || static_cast<std::uint64_t>(in.tellg()) != *image_bytes_)
+        return false;
+    const std::string header = indexHeader(generation_);
+    std::string prefix(header.size(), '\0');
+    in.seekg(0);
+    in.read(prefix.data(), static_cast<std::streamsize>(prefix.size()));
+    return in && prefix == header;
 }
 
 std::string
@@ -180,11 +219,7 @@ StoreIndex::save()
     // the directory; within the lock the cycle is read-merge-write,
     // so no writer ever overwrites another's updates.
     auto lock = acquireIndexLock(lockPath());
-    std::map<std::string, IndexEntry> merged;
-    std::uint64_t disk_generation = 0;
-    if (lock) {
-        loadDisk(&merged, &disk_generation);
-    } else {
+    if (!lock) {
         // Degraded mode: we could not serialize, so fall back to
         // writing our local view (the pre-protocol behavior). The
         // index is an accelerator — a lost concurrent update is
@@ -198,36 +233,46 @@ StoreIndex::save()
                  "once per process; see store.lock_timeouts)",
                  lockPath().c_str(), kLockRetries + 1);
         obs::counter("store.lock_timeouts").add();
-        merged = entries_;
-        disk_generation = generation_;
     }
 
-    for (const auto &[key, p] : pending_) {
-        if (p.erased) {
-            merged.erase(key);
-            continue;
-        }
-        if (p.has_entry) {
-            merged[key] = p.entry;
-        } else if (p.has_touch) {
-            // A touch asserts the entry's last-use time outright
-            // (backdating included — tests and tools rely on it);
-            // concurrent touches resolve to whichever flush runs
-            // last, which only perturbs LRU order approximately.
-            const auto it = merged.find(key);
-            if (it != merged.end())
-                it->second.touched = p.touched;
+    // The local view already holds the pending deltas. While the file
+    // is still the image this instance last loaded or wrote, nobody
+    // else has flushed, so that view is the merge and the re-parse is
+    // skipped. Otherwise (or in any doubt) re-read the disk image and
+    // apply the deltas to it.
+    const bool reload = lock && !diskHoldsImage();
+    std::map<std::string, IndexEntry> merged;
+    std::uint64_t disk_generation = generation_;
+    if (reload) {
+        obs::counter("store.index_reloads").add();
+        (void)loadDisk(&merged, &disk_generation);
+        for (const auto &[key, p] : pending_) {
+            if (p.erased) {
+                merged.erase(key);
+                continue;
+            }
+            if (p.has_entry) {
+                merged[key] = p.entry;
+            } else if (p.has_touch) {
+                // A touch asserts the entry's last-use time outright
+                // (backdating included — tests and tools rely on
+                // it); concurrent touches resolve to whichever flush
+                // runs last, which only perturbs LRU order
+                // approximately.
+                const auto it = merged.find(key);
+                if (it != merged.end())
+                    it->second.touched = p.touched;
+            }
         }
     }
+    const std::map<std::string, IndexEntry> &image =
+        reload ? merged : entries_;
 
     const std::uint64_t generation = disk_generation + 1;
     std::ostringstream ss;
     JsonWriter w(ss);
-    w.beginObject();
-    w.field("version", static_cast<std::uint64_t>(kIndexVersion));
-    w.field("generation", generation);
-    w.beginArray("entries");
-    for (const auto &[key, entry] : merged) {
+    beginIndex(w, generation);
+    for (const auto &[key, entry] : image) {
         w.beginObject();
         w.field("key", key);
         w.field("bytes", entry.bytes);
@@ -243,15 +288,20 @@ StoreIndex::save()
     w.endArray();
     w.endObject();
     ss << "\n";
+    const std::string text = ss.str();
     if (LSIM_FAULT("store.index.write") ||
-        !atomicWriteFile(path(), ss.str()))
+        !atomicWriteFile(path(), text))
         return false;
 
     // Adopt the merged image: entries other writers added become
     // visible to this instance, and the pending deltas are now on
-    // disk.
-    entries_ = std::move(merged);
+    // disk. A last-writer-wins write may share its generation with
+    // another writer's, so the next save reloads.
+    if (reload)
+        entries_ = std::move(merged);
     generation_ = generation;
+    image_bytes_ = lock ? std::optional<std::uint64_t>(text.size())
+                        : std::nullopt;
     pending_.clear();
     return true;
 }

@@ -32,10 +32,14 @@
  * generation = disk + 1, and install atomically. Updates made by
  * other writers since our load are preserved instead of clobbered,
  * and the generation counter increments by exactly one per flush —
- * a cheap cross-process consistency probe. A v1 index (no
- * generation) loads as generation 0; if the lock cannot be acquired
- * within a timeout the flush degrades to the historical
- * last-writer-wins write rather than blocking the caller forever.
+ * a cheap cross-process consistency probe. When the file still has
+ * the size and generation this instance last loaded or wrote, no
+ * one else has flushed, and the in-memory view is merged instead of
+ * re-parsing the file; each re-parse counts in
+ * `store.index_reloads`. A v1 index (no generation) loads as
+ * generation 0; if the lock cannot be acquired within a timeout the
+ * flush degrades to the historical last-writer-wins write rather
+ * than blocking the caller forever, and the next flush reloads.
  */
 
 #ifndef LSIM_STORE_STORE_INDEX_HH
@@ -43,6 +47,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 namespace lsim::store
@@ -107,6 +112,8 @@ class StoreIndex
      * writers flushed), bump the generation, and install
      * atomically. The in-memory view is replaced by the merged
      * image, so concurrent writers' entries become visible here too.
+     * The re-read is skipped while the file is the image this
+     * instance last loaded or wrote.
      */
     bool save();
 
@@ -135,14 +142,25 @@ class StoreIndex
     std::string lockPath() const;
 
     /** Parse <dir>/index.json into @p entries / @p generation.
-     * Malformed content warns and yields an empty image. */
-    void loadDisk(std::map<std::string, IndexEntry> *entries,
-                  std::uint64_t *generation) const;
+     * Malformed content warns and yields an empty image.
+     * @return the size of the file parsed; nullopt when it is
+     * missing or malformed. */
+    std::optional<std::uint64_t>
+    loadDisk(std::map<std::string, IndexEntry> *entries,
+             std::uint64_t *generation) const;
+
+    /** @return true when <dir>/index.json is still the image this
+     * instance last loaded or wrote under the lock: its size and the
+     * generation in its first bytes match. */
+    bool diskHoldsImage() const;
 
     std::string dir_;
     std::map<std::string, IndexEntry> entries_;
     std::map<std::string, Pending> pending_;
     std::uint64_t generation_ = 0;
+    /** Size of the file entries_ (without pending_) mirrors; nullopt
+     * when in doubt, which makes the next save() reload. */
+    std::optional<std::uint64_t> image_bytes_;
 };
 
 } // namespace lsim::store

@@ -224,6 +224,33 @@ TEST_F(FaultTest, IndexLockTimeoutDegradesAndCounts)
               timeouts_before + 1);
 }
 
+TEST_F(FaultTest, SaveAfterALockTimeoutWriteReloads)
+{
+    const std::string dir = freshDir("index_lock_reload");
+    StoreIndex index(dir);
+    index.put("a", store::IndexEntry{});
+    ASSERT_TRUE(index.save());
+
+    // A last-writer-wins write may share its generation with another
+    // writer's flush, so the image it leaves is never trusted.
+    fault::configure("store.index.lock");
+    index.put("b", store::IndexEntry{});
+    ASSERT_TRUE(index.save());
+    fault::reset();
+
+    const auto reloads = [] {
+        return obs::counter("store.index_reloads").value();
+    };
+    const auto before = reloads();
+    index.put("c", store::IndexEntry{});
+    ASSERT_TRUE(index.save());
+    EXPECT_EQ(reloads(), before + 1);
+    index.put("d", store::IndexEntry{});
+    ASSERT_TRUE(index.save());
+    EXPECT_EQ(reloads(), before + 1); // trusted again
+    EXPECT_EQ(StoreIndex(dir).entries().size(), 4u);
+}
+
 TEST_F(FaultTest, IndexLockTransientFailureIsRetried)
 {
     const std::string dir = freshDir("index_retry");

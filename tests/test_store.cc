@@ -19,6 +19,7 @@
 #include "api/batch.hh"
 #include "api/experiment.hh"
 #include "api/sweep.hh"
+#include "obs/metrics.hh"
 #include "store/profile_store.hh"
 #include "store/serialize.hh"
 #include "trace/profile.hh"
@@ -779,6 +780,65 @@ TEST(StoreIndex, VersionOneFilesLoadAsGenerationZero)
     ASSERT_TRUE(index.save());
     EXPECT_EQ(StoreIndex(dir).generation(), 1u);
     EXPECT_NE(StoreIndex(dir).find("old"), nullptr);
+}
+
+std::uint64_t
+indexReloads()
+{
+    return obs::counter("store.index_reloads").value();
+}
+
+TEST(StoreIndex, SingleWriterSavesWithoutReloading)
+{
+    const std::string dir = freshDir("index_no_reload");
+    StoreIndex index(dir);
+    index.put("a", namedEntry("a"));
+    index.put("b", namedEntry("b"));
+    ASSERT_TRUE(index.save());
+
+    // Nobody else flushed: the file is still this instance's last
+    // write, so later saves merge from memory without a re-parse.
+    const std::uint64_t before = indexReloads();
+    index.put("c", namedEntry("c"));
+    ASSERT_TRUE(index.save());
+    index.erase("b");
+    index.touch("a", 42.0);
+    ASSERT_TRUE(index.save());
+    EXPECT_EQ(indexReloads(), before);
+
+    const StoreIndex disk(dir);
+    EXPECT_EQ(disk.generation(), 3u);
+    ASSERT_NE(disk.find("a"), nullptr);
+    EXPECT_EQ(disk.find("a")->touched, 42.0);
+    EXPECT_EQ(disk.find("b"), nullptr);
+    EXPECT_NE(disk.find("c"), nullptr);
+
+    // An instance that loaded the file saves without a re-parse too.
+    StoreIndex reopened(dir);
+    reopened.put("d", namedEntry("d"));
+    ASSERT_TRUE(reopened.save());
+    EXPECT_EQ(indexReloads(), before);
+    EXPECT_EQ(StoreIndex(dir).entries().size(), 3u);
+}
+
+TEST(StoreIndex, AnotherWritersFlushForcesAReload)
+{
+    const std::string dir = freshDir("index_reload");
+    StoreIndex a(dir);
+    a.put("from_a", namedEntry("a"));
+    ASSERT_TRUE(a.save());
+    StoreIndex b(dir);
+    b.put("from_b", namedEntry("b"));
+    ASSERT_TRUE(b.save());
+
+    // b flushed after a's last write: a must re-read to keep b's
+    // entry, and then holds both.
+    const std::uint64_t before = indexReloads();
+    a.put("again_a", namedEntry("a"));
+    ASSERT_TRUE(a.save());
+    EXPECT_EQ(indexReloads(), before + 1);
+    EXPECT_NE(a.find("from_b"), nullptr);
+    EXPECT_EQ(StoreIndex(dir).entries().size(), 3u);
 }
 
 TEST(StoreIndex, SaveMergesConcurrentWritersInsteadOfClobbering)
