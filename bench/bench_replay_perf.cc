@@ -29,6 +29,10 @@
  *     including protocol framing and the completion board).
  *     Reported and recorded for the trajectory; not gated (absolute
  *     latency is machine-dependent).
+ *  5. O3 core — phase-1 simulation throughput (million committed
+ *     instructions per second) of mcf, health, gcc and vortex at
+ *     their Table 3 FU counts, 50k instructions, median of 5 runs.
+ *     Reported and recorded; not gated.
  *
  * Emits BENCH_replay.json for the perf-regression trajectory
  * (tools/bench_trend.py diffs these across runs) and prints tables.
@@ -53,6 +57,7 @@
  *                            multi-thread speedup is below <x>
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -73,6 +78,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "harness/experiment.hh"
 #include "replay/engine.hh"
 #include "serve/daemon.hh"
 #include "serve/socket.hh"
@@ -459,6 +465,45 @@ measureServe(std::uint64_t insts, std::uint64_t seed)
     return result;
 }
 
+struct CoreResult
+{
+    const char *name = "";
+    unsigned fus = 0;
+    double minst_per_s = 0.0; ///< median over kCoreReps runs
+};
+
+constexpr std::uint64_t kCoreInsts = 50'000;
+constexpr int kCoreReps = 5;
+
+/**
+ * O3 throughput of the benchmarks the cold daemon workloads simulate,
+ * each at its Table 3 FU count, through the same
+ * harness::simulateWorkload call the batch runner makes.
+ */
+std::vector<CoreResult>
+measureCore(std::uint64_t seed)
+{
+    std::vector<CoreResult> out;
+    for (const char *name : {"mcf", "health", "gcc", "vortex"}) {
+        const trace::WorkloadProfile &profile =
+            trace::profileByName(name);
+        std::vector<double> rates;
+        for (int rep = 0; rep < kCoreReps; ++rep) {
+            const auto start = std::chrono::steady_clock::now();
+            const harness::WorkloadSim ws = harness::simulateWorkload(
+                profile, profile.paper_fus, kCoreInsts, {}, seed);
+            const double us = std::chrono::duration<double, std::micro>(
+                                  std::chrono::steady_clock::now() -
+                                  start)
+                                  .count();
+            rates.push_back(static_cast<double>(ws.sim.committed) / us);
+        }
+        std::sort(rates.begin(), rates.end());
+        out.push_back({name, profile.paper_fus, rates[kCoreReps / 2]});
+    }
+    return out;
+}
+
 } // namespace
 
 int
@@ -514,6 +559,7 @@ main(int argc, char **argv)
     const std::vector<ThreadedResult> threaded =
         measureThreaded(syntheticProfile(kShardedDistinct));
     const ServeResult served = measureServe(opts.insts, opts.seed);
+    const std::vector<CoreResult> core = measureCore(opts.seed);
     double best_threaded = 0.0;
     for (const auto &t : threaded)
         if (t.threads > 1)
@@ -550,6 +596,14 @@ main(int argc, char **argv)
               << fixed(served.cold_ms, 3) << " ms, warm "
               << fixed(served.warm_ms, 3) << " ms/request, socket warm "
               << fixed(served.socket_warm_ms, 3) << " ms/request\n";
+
+    Table tcore({"benchmark", "fus", "Minst/s"});
+    for (const auto &c : core)
+        tcore.addRow({c.name, std::to_string(c.fus),
+                      fixed(c.minst_per_s, 3)});
+    std::cout << "\nO3 core (" << kCoreInsts
+              << " instructions, median of " << kCoreReps << "):\n";
+    tcore.print(std::cout);
 
     std::cout << "\nReference grid (" << kReferencePoints
               << " points x " << sims.size()
@@ -616,6 +670,19 @@ main(int argc, char **argv)
         w.field("cold_request_ms", served.cold_ms);
         w.field("warm_request_ms", served.warm_ms);
         w.field("socket_warm_request_ms", served.socket_warm_ms);
+        w.endObject();
+        w.beginObject("core");
+        w.field("insts", kCoreInsts);
+        w.field("reps", static_cast<std::uint64_t>(kCoreReps));
+        w.beginArray("benchmarks");
+        for (const auto &c : core) {
+            w.beginObject();
+            w.field("name", c.name);
+            w.field("fus", c.fus);
+            w.field("minst_per_s", c.minst_per_s);
+            w.endObject();
+        }
+        w.endArray();
         w.endObject();
         w.beginObject("reference");
         w.field("points",

@@ -17,9 +17,10 @@ latencies (lower is better) — so a ratio below 1 always reads
 drops below R. Serve warm latency is additionally guarded by
 --warm-ms-ceiling: the relative gate only fires when the absolute
 latency also exceeds the ceiling, so CI-runner noise on a
-sub-millisecond path cannot flake the job. Files written by older
-bench versions simply lack the newer metrics and are compared on
-what they have.
+sub-millisecond path cannot flake the job. O3 core throughput (the
+"core" block, Minst/s per benchmark) is diffed and charted but never
+gated. Files written by older bench versions simply lack the newer
+metrics and are compared on what they have.
 
 History mode accumulates per-commit records and renders a
 standalone HTML/SVG trend page (no JS, no external assets):
@@ -88,6 +89,13 @@ def metrics(doc):
         # the gated warm path.
         out[("serve", "socket_warm_request_ms")] = \
             serve.get("socket_warm_request_ms")
+    core = doc.get("core")
+    if core:
+        # O3 simulator throughput per benchmark, Minst/s (higher is
+        # better). Report-only: absolute speed is machine-dependent.
+        for entry in core.get("benchmarks", []):
+            out[(entry["name"], "core_minst_per_s")] = \
+                entry.get("minst_per_s")
     return {k: v for k, v in out.items() if v is not None}
 
 
@@ -250,6 +258,8 @@ def render_html(records, out_path):
                   x_labels),
         svg_chart("Threaded speedup", "x",
                   series_for("threaded_speedup"), x_labels),
+        svg_chart("O3 core throughput", " Minst/s",
+                  series_for("core_minst_per_s"), x_labels),
     ]
     body = "\n".join(c for c in charts if c)
     page = f"""<!DOCTYPE html>
@@ -272,7 +282,8 @@ def render_html(records, out_path):
 <h1>lsim replay perf trend</h1>
 <p>{len(records)} record(s), oldest first:
 {html.escape(x_labels[0])} &rarr; {html.escape(x_labels[-1])}.
-Speedups: higher is better. Latency: lower is better.</p>
+Speedups and core throughput: higher is better. Latency: lower is
+better.</p>
 {body}
 </body>
 </html>
