@@ -150,8 +150,7 @@ O3Core::issueStage()
         }
 
         entry.state = InstState::Issued;
-        entry.complete_cycle = now_ + trace::execLatency(op.cls) + extra;
-        inflight_.push({entry.complete_cycle, seq});
+        inflight_.push({now_ + trace::execLatency(op.cls) + extra, seq});
         ++int_issued;
         return true;
     });
@@ -166,9 +165,7 @@ O3Core::issueStage()
         }
         RobEntry &entry = rob_.bySeq(seq);
         entry.state = InstState::Issued;
-        entry.complete_cycle =
-            now_ + trace::execLatency(entry.op.cls);
-        inflight_.push({entry.complete_cycle, seq});
+        inflight_.push({now_ + trace::execLatency(entry.op.cls), seq});
         ++fp_issued_;
         return true;
     });

@@ -40,6 +40,7 @@
 #ifndef LSIM_CPU_CORE_HH
 #define LSIM_CPU_CORE_HH
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -130,12 +131,7 @@ class O3Core
         Cycle cycle;
         std::uint64_t seq;
 
-        bool
-        operator>(const Completion &other) const
-        {
-            return cycle != other.cycle ? cycle > other.cycle
-                                        : seq > other.seq;
-        }
+        auto operator<=>(const Completion &) const = default;
     };
 
     // Each stage returns true when it changed any state.

@@ -33,7 +33,6 @@ struct RobEntry
     trace::MicroOp op;
     std::uint64_t seq = 0;        ///< program-order sequence number
     InstState state = InstState::Dispatched;
-    Cycle complete_cycle = 0;     ///< valid once Issued
 
     int dst_phys = kNoPhysReg;
     int prev_phys = kNoPhysReg;   ///< freed at commit
