@@ -46,7 +46,7 @@ LoadStoreQueue::insert(std::uint64_t seq, Addr addr, bool is_store)
         panic("LoadStoreQueue: store insert when full");
     if (!is_store && !canInsertLoad())
         panic("LoadStoreQueue: load insert when full");
-    if (size_ > 0 && seq <= last_seq_)
+    if (size_ > 0 && ring_[(head_ + size_ - 1) & mask_].seq >= seq)
         panic("LoadStoreQueue: insert out of program order");
 
     const std::size_t slot = (head_ + size_) & mask_;
@@ -57,7 +57,6 @@ LoadStoreQueue::insert(std::uint64_t seq, Addr addr, bool is_store)
     e.addr_ready = false;
     e.valid = true;
     ++size_;
-    last_seq_ = seq;
     if (is_store)
         ++num_stores_;
     else

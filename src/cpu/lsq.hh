@@ -94,7 +94,6 @@ class LoadStoreQueue
      * a store.
      */
     std::size_t resolved_ = 0;
-    std::uint64_t last_seq_ = 0; ///< youngest seq inserted
     std::size_t num_loads_ = 0;
     std::size_t num_stores_ = 0;
 };
