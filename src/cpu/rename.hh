@@ -4,8 +4,7 @@
  * physical-register ready scoreboard for one register file (the core
  * instantiates one for the integer file and one for the FP file).
  * Each physical register also lists the in-flight instructions
- * waiting for its value, so writeback wakes exactly those consumers
- * instead of the issue queue polling every source every cycle.
+ * waiting for its value, so writeback wakes exactly those consumers.
  *
  * The conventional scheme: rename allocates a fresh physical
  * register for each destination and remembers the previous mapping;
