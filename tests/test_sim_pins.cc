@@ -1,12 +1,13 @@
 /**
  * @file
- * Pins of the phase-1 timing simulator's output. Every figure the
- * repository reproduces flows from these simulations, so a change to
- * the core, the trace generator or the FU-count selection must keep
- * every row below — or re-pin deliberately, with the resulting
- * figure deltas explained.
+ * Pins of the simulator's output. Every figure the repository
+ * reproduces flows from these simulations and their renderings, so a
+ * change to the core, the trace generator, the FU-count selection,
+ * the replay engine or the CSV/JSON writers must keep every row below
+ * — or re-pin deliberately, with the resulting figure deltas
+ * explained.
  *
- * Four tables, all generated from the same code:
+ * Seven tables, all generated from the same code:
  *  - FNV-1a of the store::writeWorkloadSim bytes for the nine Table 3
  *    profiles x FU counts 1-4 x seeds {1, 2} at kInsts instructions;
  *  - the same hash for mcf, health, gcc and vortex at their Table 3
@@ -15,7 +16,13 @@
  *  - the FU count the Table 3 rule (harness::selectFuCount) picks per
  *    (profile, seed);
  *  - the profile-store key (SimTask::fingerprint) of one auto task
- *    and one explicit task.
+ *    and one explicit task;
+ *  - FNV-1a of SweepResult::writeCsv and writeJson for one
+ *    {gcc, mst} sweep, which chunked phase-2 replay must reproduce;
+ *  - the SweepResult::averagesAt values, as hexfloat text, of a
+ *    paper-policy {gcc, mcf} sweep at every point;
+ *  - FNV-1a of RunResult::toJson and toCsv for one explicit-count and
+ *    one auto-selected experiment.
  *
  * A mismatched or missing row fails with the actual row printed in
  * table syntax.
@@ -27,6 +34,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/experiment.hh"
 #include "api/sweep.hh"
@@ -168,6 +176,68 @@ constexpr AutoPin kAutoPins[] = {
     {"vpr", 2, 3},
 };
 
+struct RenderPin
+{
+    const char *output; ///< which rendering
+    const char *hash;   ///< FNV-1a hex of its bytes
+};
+
+/**
+ * sweep.*: {gcc, mst} x pSweep(0.05, 1.0, 5) under six policies, seed
+ * 1, kInsts instructions. gzip.*: the paper's four policies at
+ * p = 0.05. mcf-auto.*: the same at p = 0.3 with fus(auto_select).
+ */
+constexpr RenderPin kRenderPins[] = {
+    {"sweep.csv", "847d98b3c7756814"},
+    {"sweep.json", "b49c2bb690127cba"},
+    {"gzip.json", "ef035e285e390f2b"},
+    {"gzip.csv", "436980adad47f602"},
+    {"mcf-auto.json", "967bb8e51ecb372d"},
+    {"mcf-auto.csv", "a3adb2f1acd3d287"},
+};
+
+/** averagesAt of the paper's four policies over {gcc, mcf} at each
+ * point of the sweep.* grid. */
+struct AveragePin
+{
+    unsigned point;                ///< technology index of the sweep
+    const char *policy;            ///< SuitePolicyAverages name
+    const char *rel_to_nooverhead; ///< hexfloat text
+    const char *leakage_fraction;  ///< hexfloat text
+};
+
+constexpr AveragePin kAveragePins[] = {
+    {0, "MaxSleep", "0x1.1f14246788d9ap+0", "0x1.006b8b0ff0636p-4"},
+    {0, "GradualSleep", "0x1.16c3244c48f28p+0", "0x1.8070ab19b358cp-4"},
+    {0, "AlwaysActive", "0x1.1e623b0678e1dp+0", "0x1.5506d3aab048ap-3"},
+    {0, "NoOverhead", "0x1p+0", "0x1.1ec2e9c584146p-4"},
+    {1, "MaxSleep", "0x1.17518497fc98cp+0", "0x1.1bfbf5c477094p-2"},
+    {1, "GradualSleep", "0x1.1a20dc8f39f22p+0", "0x1.3784b2b0aab8ap-2"},
+    {1, "AlwaysActive", "0x1.8315519dd7434p+0", "0x1.0d4642866e7bap-1"},
+    {1, "NoOverhead", "0x1p+0", "0x1.3558c08d2175cp-2"},
+    {2, "MaxSleep", "0x1.12a8c5e4ab36cp+0", "0x1.a5d161e75302bp-2"},
+    {2, "GradualSleep", "0x1.154883292755ap+0", "0x1.b357eee75a3ecp-2"},
+    {2, "AlwaysActive", "0x1.bf8ae2fd35e18p+0", "0x1.553aed27f9e9cp-1"},
+    {2, "NoOverhead", "0x1p+0", "0x1.c4133111eabe8p-2"},
+    {3, "MaxSleep", "0x1.0f8d49cf54bf9p+0", "0x1.022b0062bec3fp-1"},
+    {3, "GradualSleep", "0x1.0f8d49cf54bf9p+0", "0x1.022b0062bec3fp-1"},
+    {3, "AlwaysActive", "0x1.e7dd7c4ad6b63p+0", "0x1.7c1250381b2a4p-1"},
+    {3, "NoOverhead", "0x1p+0", "0x1.11a442711e03ep-1"},
+    {4, "MaxSleep", "0x1.0d54ed69e042p+0", "0x1.2498d6cc431a8p-1"},
+    {4, "GradualSleep", "0x1.0d54ed69e042p+0", "0x1.2498d6cc431a8p-1"},
+    {4, "AlwaysActive", "0x1.02566b6d6d2d5p+1", "0x1.9475868837704p-1"},
+    {4, "NoOverhead", "0x1p+0", "0x1.33a88aadc37d3p-1"},
+};
+
+std::string
+fnvHex(const std::string &bytes)
+{
+    store::Fnv1a h;
+    for (const char c : bytes)
+        h.addByte(static_cast<std::uint8_t>(c));
+    return h.hex();
+}
+
 std::string
 simHash(const trace::WorkloadProfile &profile, unsigned fus,
         std::uint64_t seed, std::uint64_t insts = kInsts)
@@ -177,10 +247,46 @@ simHash(const trace::WorkloadProfile &profile, unsigned fus,
     std::ostringstream bytes;
     store::BinaryWriter w(bytes);
     store::writeWorkloadSim(w, sim);
-    store::Fnv1a h;
-    for (const char c : bytes.str())
-        h.addByte(static_cast<std::uint8_t>(c));
-    return h.hex();
+    return fnvHex(bytes.str());
+}
+
+/** The pinned hash of @p output, or nullptr when no row names it. */
+const char *
+renderPin(const std::string &output)
+{
+    for (const RenderPin &row : kRenderPins)
+        if (row.output == output)
+            return row.hash;
+    return nullptr;
+}
+
+void
+expectRenderPin(const std::string &output, const std::string &bytes)
+{
+    const std::string actual = fnvHex(bytes);
+    const char *pinned = renderPin(output);
+    if (!pinned || actual != pinned)
+        ADD_FAILURE() << "actual row: {\"" << output << "\", \""
+                      << actual << "\"},";
+}
+
+api::SweepConfig
+sweepConfig(std::vector<std::string> workloads)
+{
+    api::SweepConfig cfg;
+    cfg.workloads = std::move(workloads);
+    cfg.technologies = api::pSweep(0.05, 1.0, 5);
+    cfg.insts = kInsts;
+    cfg.seed = 1;
+    return cfg;
+}
+
+std::string
+hexfloat(double value)
+{
+    std::ostringstream text;
+    text << std::hexfloat << value;
+    return text.str();
 }
 
 TEST(SimPins, SerializedSimulationsMatchThePinnedHashes)
@@ -253,6 +359,71 @@ TEST(SimPins, StoreKeysOfAutoAndExplicitTasks)
     explicit_count.fus = 2;
     EXPECT_EQ(explicit_count.fingerprint(), "gcc-ca3b1d7629c040ba")
         << "actual explicit key: " << explicit_count.fingerprint();
+}
+
+TEST(RenderPins, SweepCsvAndJsonMatchThePinnedHashes)
+{
+    // Chunked phase-2 replay must render the same bytes as the
+    // unchunked default: the rows below hold for both.
+    for (const std::size_t chunk : {std::size_t{0}, std::size_t{4}}) {
+        SCOPED_TRACE("chunk_intervals = " + std::to_string(chunk));
+        api::SweepConfig cfg = sweepConfig({"gcc", "mst"});
+        cfg.policies = {"max-sleep", "gradual", "timeout:64",
+                        "adaptive", "oracle", "no-overhead"};
+        cfg.chunk_intervals = chunk;
+        const api::SweepResult result = api::SweepRunner(cfg).run();
+        std::ostringstream csv, json;
+        result.writeCsv(csv);
+        result.writeJson(json);
+        expectRenderPin("sweep.csv", csv.str());
+        expectRenderPin("sweep.json", json.str());
+    }
+}
+
+TEST(RenderPins, SuiteAveragesMatchThePinnedValues)
+{
+    const api::SweepResult result =
+        api::SweepRunner(sweepConfig({"gcc", "mcf"})).run();
+    std::size_t rows = 0;
+    for (unsigned t = 0; t < result.technologies.size(); ++t) {
+        const auto avg = result.averagesAt(t);
+        for (std::size_t i = 0; i < avg.names.size(); ++i, ++rows) {
+            const std::string rel = hexfloat(avg.rel_to_nooverhead[i]);
+            const std::string leak = hexfloat(avg.leakage_fraction[i]);
+            const AveragePin *pin = nullptr;
+            for (const AveragePin &row : kAveragePins)
+                if (row.point == t && row.policy == avg.names[i])
+                    pin = &row;
+            if (!pin || rel != pin->rel_to_nooverhead ||
+                leak != pin->leakage_fraction)
+                ADD_FAILURE() << "actual row: {" << t << ", \""
+                              << avg.names[i] << "\", \"" << rel
+                              << "\", \"" << leak << "\"},";
+        }
+    }
+    EXPECT_EQ(std::size(kAveragePins), rows);
+}
+
+TEST(RenderPins, RunResultsMatchThePinnedHashes)
+{
+    const api::RunResult gzip = api::Experiment::builder()
+                                    .workload("gzip")
+                                    .insts(kInsts)
+                                    .seed(1)
+                                    .technology(0.05)
+                                    .run();
+    expectRenderPin("gzip.json", gzip.toJson());
+    expectRenderPin("gzip.csv", gzip.toCsv());
+
+    const api::RunResult mcf = api::Experiment::builder()
+                                   .workload("mcf")
+                                   .insts(kInsts)
+                                   .seed(1)
+                                   .fus(api::auto_select)
+                                   .technology(0.3)
+                                   .run();
+    expectRenderPin("mcf-auto.json", mcf.toJson());
+    expectRenderPin("mcf-auto.csv", mcf.toCsv());
 }
 
 } // namespace
