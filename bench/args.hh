@@ -3,9 +3,8 @@
  * Shared command-line parsing for the figure/table bench harnesses:
  * the historical "insts=<n> seed=<n>" overrides every bench accepts.
  *
- * This replaces the retired harness::SuiteOptions::parseArgs so the
- * benches depend only on the api:: facade (plus this header) rather
- * than on the legacy suite driver.
+ * The benches depend only on the api:: facade plus this header, not
+ * on a suite driver of their own.
  */
 
 #ifndef LSIM_BENCH_ARGS_HH

@@ -229,8 +229,8 @@ measureGrid(const std::vector<harness::WorkloadSim> &sims,
         grid.units += probe.numUnits();
     }
 
-    // The scalar phase 2: one evaluateProfile per (workload, point)
-    // cell, exactly what detail::fillCell runs under scalar_replay.
+    // The scalar reference: one evaluateProfile per (workload,
+    // point) cell, one walk over the interval multiset each.
     grid.scalar_ms = timeMs([&] {
         for (const auto &ws : sims)
             for (const auto &mp : points)

@@ -45,7 +45,6 @@ batchFingerprint(const BatchConfig &config)
         h.addU64(sweep.seed);
         h.addU32(sweep.fus);
         store::hashCoreConfig(h, sweep.base);
-        h.addU32(sweep.scalar_replay ? 1 : 0);
         h.addU64(sweep.chunk_intervals);
     }
     return h.hex();
@@ -292,8 +291,8 @@ detail::runSweeps(std::span<const SweepRunner> runners,
 
     // Phase 2: the shared driver flattens every request's replay
     // grid into one task list — multi-point engine jobs per
-    // (workload, chunk), scalar cells for flagged sweeps — so a
-    // small sweep's cells never wait on a big sweep's phase.
+    // (workload, chunk) — so a small sweep's cells never wait on a
+    // big sweep's phase.
     detail::ReplayDriver driver;
     for (std::size_t s = 0; s < result.sweeps.size(); ++s)
         driver.add(result.sweeps[s], runners[s].config());

@@ -75,10 +75,13 @@ RunResult::policy(const std::string &name) const
 void
 RunResult::writeJson(std::ostream &os) const
 {
-    // The legacy report writers are the single source of truth for
-    // the JSON schema; composing them keeps the facade output
-    // bit-identical to the deprecated writeExperimentJson() path.
-    harness::writeExperimentJson(os, sim, technology, policies);
+    JsonWriter w(os);
+    w.beginObject();
+    harness::writeTechnologyJson(w, technology);
+    harness::writeSimJson(w, sim);
+    harness::writePoliciesJson(w, policies);
+    w.endObject();
+    os << "\n";
 }
 
 void
@@ -114,9 +117,12 @@ evaluateProfile(const harness::IdleProfile &idle,
     const auto &keys = policy_keys.empty()
         ? sleep::PolicyRegistry::paperSpecs()
         : policy_keys;
-    return harness::evaluatePolicies(
-        idle, params,
-        sleep::PolicyRegistry::instance().makeSet(keys, params));
+    sleep::PolicyEvaluator eval(
+        params, sleep::PolicyRegistry::instance().makeSet(keys, params));
+    eval.feedRun(true, idle.active_cycles);
+    for (const auto &[len, count] : idle.intervals)
+        eval.feedRuns(len, count);
+    return eval.results();
 }
 
 RunResult

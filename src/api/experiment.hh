@@ -95,8 +95,9 @@ struct RunResult
 
     /**
      * Serialize as one JSON object: {technology, simulation,
-     * policies}. Field-for-field identical to the legacy
-     * harness::writeExperimentJson() record.
+     * policies}, the simulation and policies in the
+     * harness::writeSimJson / writePoliciesJson schema that
+     * SweepResult::writeJson shares.
      */
     void writeJson(std::ostream &os) const;
 
@@ -249,8 +250,8 @@ struct Experiment
 
 /**
  * Evaluate a stored idle profile at @p params under registry-named
- * policies — the facade-level replacement for
- * harness::evaluatePolicies + sleep::makePaperControllers. An empty
+ * policies: one sleep::PolicyEvaluator fed the active total, then
+ * the interval multiset in ascending length order. An empty
  * @p policy_keys means the paper's four policies.
  *
  * This is the *scalar* reference path: one walk over the interval
@@ -258,7 +259,7 @@ struct Experiment
  * through replay::MultiPointReplay instead, which is bit-identical
  * (see that header's contract) but amortizes one pass across all
  * technology points; this function remains the ground truth the
- * engine is tested against.
+ * engine is tested and benchmarked against.
  */
 std::vector<sleep::PolicyResult>
 evaluateProfile(const harness::IdleProfile &idle,

@@ -34,6 +34,9 @@ namespace lsim::api::detail
  * concurrency). Each worker pulls the next index from a shared
  * atomic counter; tasks write only their own index-addressed output
  * slot, so scheduling cannot affect results.
+ *
+ * A task must not throw: an exception escaping @p fn on a worker
+ * thread calls std::terminate. Validate inputs before the fan-out.
  */
 template <typename Fn>
 void
@@ -131,7 +134,11 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** Run fn(0..count-1) across the workers; blocks until done. */
+    /**
+     * Run fn(0..count-1) across the workers; blocks until done. As
+     * with parallelFor(), @p fn must not throw: on a worker thread
+     * the exception calls std::terminate.
+     */
     void run(std::size_t count, std::function<void(std::size_t)> fn)
     {
         if (count == 0)

@@ -100,22 +100,15 @@ SweepResult::writeJson(std::ostream &os) const
     w.beginArray("simulations");
     for (const auto &sim : sims) {
         w.beginObject();
-        writeSimJson(w, sim);
+        harness::writeSimJson(w, sim);
         w.endObject();
     }
     w.endArray();
     w.beginArray("cells");
     for (const auto &c : cells) {
-        const auto &mp = technologies[c.technology];
         w.beginObject();
         w.field("benchmark", workloads[c.workload]);
-        w.beginObject("technology");
-        w.field("p", mp.p);
-        w.field("k", mp.k);
-        w.field("s", mp.s);
-        w.field("alpha", mp.alpha);
-        w.field("duty", mp.duty);
-        w.endObject();
+        harness::writeTechnologyJson(w, technologies[c.technology]);
         harness::writePoliciesJson(w, c.policies);
         w.endObject();
     }
@@ -151,18 +144,6 @@ detail::SimTask::run() const
     return builder.session().sim();
 }
 
-void
-detail::fillCell(SweepResult &result, std::size_t i)
-{
-    const std::size_t num_tech = result.technologies.size();
-    SweepCell &c = result.cells[i];
-    c.workload = i / num_tech;
-    c.technology = i % num_tech;
-    c.policies = evaluateProfile(result.sims[c.workload].idle,
-                                 result.technologies[c.technology],
-                                 result.policy_keys);
-}
-
 // -------------------------------------------------- ReplayDriver
 
 /** One workload's multi-point replay within one result. The engine
@@ -185,11 +166,6 @@ void
 detail::ReplayDriver::add(SweepResult &result,
                           const SweepConfig &config)
 {
-    if (config.scalar_replay) {
-        for (std::size_t i = 0; i < result.cells.size(); ++i)
-            scalar_cells_.emplace_back(&result, i);
-        return;
-    }
     for (std::size_t w = 0; w < result.workloads.size(); ++w)
         jobs_.push_back(
             {&result, w, config.chunk_intervals, std::nullopt});
@@ -213,8 +189,8 @@ detail::ReplayDriver::run(unsigned threads, ThreadPool *pool,
     };
 
     // Pre-stage: construct the engines in parallel (each writes only
-    // its own slot). Policy specs were validated by the runner
-    // constructors, so construction cannot throw here.
+    // its own slot). The runner constructors built every policy set
+    // at every technology point, so construction cannot throw here.
     runOn(pool, jobs_.size(), threads, [&](std::size_t j) {
         if (cancelled())
             return;
@@ -245,37 +221,26 @@ detail::ReplayDriver::run(unsigned threads, ThreadPool *pool,
         obs::counter("replay.kernel_groups").add(groups);
         obs::counter("replay.engines")
             .add(static_cast<std::uint64_t>(jobs_.size()));
-        obs::counter("replay.scalar_cells")
-            .add(static_cast<std::uint64_t>(scalar_cells_.size()));
     }
 
-    // One flat list over every registered result: scalar cells plus
-    // each engine job's (workload, chunk) tasks, so a small sweep's
-    // work never waits on a big sweep's phase, and one long
-    // simulation spreads across workers.
+    // One flat list over every registered result's (workload, chunk)
+    // tasks, so a small sweep's work never waits on a big sweep's
+    // phase, and one long simulation spreads across workers.
     struct Piece
     {
-        std::size_t job;  ///< index into jobs_, or npos for scalar
-        std::size_t task; ///< engine task or scalar_cells_ index
+        std::size_t job;  ///< index into jobs_
+        std::size_t task; ///< that job's engine task
     };
-    constexpr std::size_t npos = ~std::size_t{0};
     std::vector<Piece> pieces;
     for (std::size_t j = 0; j < jobs_.size(); ++j)
         for (std::size_t t = 0; t < jobs_[j].engine->numTasks();
              ++t)
             pieces.push_back({j, t});
-    for (std::size_t i = 0; i < scalar_cells_.size(); ++i)
-        pieces.push_back({npos, i});
 
     runOn(pool, pieces.size(), threads, [&](std::size_t i) {
         if (cancelled())
             return;
-        const Piece &piece = pieces[i];
-        if (piece.job == npos)
-            fillCell(*scalar_cells_[piece.task].first,
-                     scalar_cells_[piece.task].second);
-        else
-            jobs_[piece.job].engine->runTask(piece.task);
+        jobs_[pieces[i].job].engine->runTask(pieces[i].task);
     });
     throwIfCancelled();
 
@@ -373,12 +338,27 @@ SweepRunner::SweepRunner(SweepConfig config)
         throw std::invalid_argument(
             "SweepRunner: no technology points (see pSweep())");
 
-    // Fail fast on unknown names, before any worker starts.
-    for (const auto &name : config_.workloads)
-        if (imported_.find(name) == imported_.end())
-            resolveWorkload(name);
-    sleep::PolicyRegistry::instance().makeSet(
-        config_.policies, config_.technologies.front());
+    // Fail fast, before any worker starts: on unknown names, on a
+    // core config invalid at an FU count phase 1 will simulate, and
+    // on a point where a policy set or energy model cannot be built.
+    for (const auto &name : config_.workloads) {
+        if (imported_.find(name) != imported_.end())
+            continue;
+        const trace::WorkloadProfile &profile = resolveWorkload(name);
+        if (config_.fus == auto_select)
+            for (unsigned n = 1; n <= 4; ++n)
+                config_.base.withIntFus(n).validate();
+        else
+            config_.base
+                .withIntFus(config_.fus == ~0u ? profile.paper_fus
+                                               : config_.fus)
+                .validate();
+    }
+    for (const auto &tech : config_.technologies) {
+        tech.validate();
+        sleep::PolicyRegistry::instance().makeSet(config_.policies,
+                                                  tech);
+    }
 }
 
 const trace::WorkloadProfile &

@@ -111,20 +111,11 @@ struct SweepConfig
     std::string cache_dir;
 
     /**
-     * Run phase 2 on the legacy scalar path (one pass over the
-     * interval multiset per cell) instead of the multi-point replay
-     * engine. The engine is bit-identical below its auto-shard
-     * threshold, so this exists for equivalence testing and as an
-     * escape hatch, not as a tuning knob.
-     */
-    bool scalar_replay = false;
-
-    /**
      * Phase-2 shard size: maximum distinct idle-interval lengths per
      * replay chunk (see replay::ReplayOptions). 0 = auto — a single
-     * chunk for typical workloads (bit-identical to the scalar
-     * path), sharded only for very long simulations whose interval
-     * sets pass the auto threshold.
+     * chunk for typical workloads (bit-identical to
+     * api::evaluateProfile), sharded only for very long simulations
+     * whose interval sets pass the auto threshold.
      */
     std::size_t chunk_intervals = 0;
 };
@@ -219,17 +210,12 @@ struct SimTask
     harness::WorkloadSim run() const;
 };
 
-/** Compute cell @p i of @p result from its sims (the scalar phase-2
- * unit, kept for SweepConfig::scalar_replay). */
-void fillCell(SweepResult &result, std::size_t i);
-
 /**
  * Shared phase-2 executor: fills the cells of every registered
  * SweepResult by fanning replay work across one thread pool. The
  * unit of parallelism is finer than a cell — one task per
  * (workload, interval chunk) on the multi-point engine — so a
  * single very long simulation still spreads across workers.
- * Scalar-flagged sweeps contribute per-cell fillCell tasks instead.
  *
  * Usage: add() every (result, config) pair — cells resized and sims
  * filled — then run() once. Results are deterministic for any
@@ -259,8 +245,6 @@ class ReplayDriver
     struct EngineJob;
 
     std::vector<EngineJob> jobs_;
-    /** Scalar-path cells: (result, cell index). */
-    std::vector<std::pair<SweepResult *, std::size_t>> scalar_cells_;
 };
 
 } // namespace detail
@@ -271,8 +255,10 @@ class SweepRunner
   public:
     /**
      * Validates @p config eagerly: unknown workloads, bad custom
-     * profiles, unreadable imports, or bad policy specs throw
-     * std::invalid_argument here, not from a worker.
+     * profiles, unreadable imports, bad policy specs, a technology
+     * point out of range, or a core config invalid at an FU count
+     * phase 1 will simulate throw std::invalid_argument here, not
+     * from a worker.
      */
     explicit SweepRunner(SweepConfig config);
 

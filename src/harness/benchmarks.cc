@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/logging.hh"
-
 namespace lsim::harness
 {
 
@@ -47,60 +45,6 @@ SuiteRun::meanIdleFraction() const
     for (const auto &ws : sims)
         sum += ws.idle.idleFraction();
     return sum / static_cast<double>(sims.size());
-}
-
-SuiteRun
-runSuite(const SuiteOptions &opts)
-{
-    SuiteRun run;
-    for (const auto &profile : trace::table3Profiles()) {
-        const unsigned fus =
-            opts.use_paper_fus ? profile.paper_fus : 4;
-        inform("simulating %s (%u FUs, %llu insts)",
-               profile.name.c_str(), fus,
-               static_cast<unsigned long long>(opts.insts));
-        run.sims.push_back(simulateWorkload(profile, fus, opts.insts,
-                                            opts.base, opts.seed));
-    }
-    return run;
-}
-
-SuitePolicyAverages
-averagePolicies(const SuiteRun &suite,
-                const energy::ModelParams &params)
-{
-    SuitePolicyAverages avg;
-    bool first = true;
-    for (const auto &ws : suite.sims) {
-        const auto results = evaluatePaperPolicies(ws.idle, params);
-        double no_overhead = 0.0;
-        for (const auto &r : results)
-            if (r.name == "NoOverhead")
-                no_overhead = r.energy;
-        if (no_overhead <= 0.0)
-            fatal("NoOverhead energy nonpositive for %s",
-                  ws.name.c_str());
-        if (first) {
-            for (const auto &r : results) {
-                avg.names.push_back(r.name);
-                avg.rel_to_nooverhead.push_back(0.0);
-                avg.leakage_fraction.push_back(0.0);
-            }
-            first = false;
-        }
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            avg.rel_to_nooverhead[i] +=
-                results[i].energy / no_overhead;
-            avg.leakage_fraction[i] +=
-                results[i].leakage_fraction;
-        }
-    }
-    const auto n = static_cast<double>(suite.sims.size());
-    for (std::size_t i = 0; i < avg.names.size(); ++i) {
-        avg.rel_to_nooverhead[i] /= n;
-        avg.leakage_fraction[i] /= n;
-    }
-    return avg;
 }
 
 } // namespace lsim::harness

@@ -1,14 +1,13 @@
 /**
  * @file
- * Benchmark-suite driver shared by the bench binaries: runs the nine
- * Table 3 workloads through the timing model and exposes the results
- * plus suite-level aggregation helpers used by Figures 7-9.
+ * Suite-level aggregation shared by the bench binaries: the Figure 7
+ * idle-distribution helpers over a set of Table 3 simulations, and
+ * the Figure 9 per-policy averages (see api::SweepResult::averagesAt).
  */
 
 #ifndef LSIM_HARNESS_BENCHMARKS_HH
 #define LSIM_HARNESS_BENCHMARKS_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,25 +15,6 @@
 
 namespace lsim::harness
 {
-
-/** Options for a suite run. */
-struct SuiteOptions
-{
-    /** Committed instructions per benchmark. */
-    std::uint64_t insts = 2'000'000;
-
-    /** Trace generator seed. */
-    std::uint64_t seed = 1;
-
-    /**
-     * Use the paper's per-benchmark FU counts (Table 3 last column)
-     * rather than re-deriving them (the Table 3 bench re-derives).
-     */
-    bool use_paper_fus = true;
-
-    /** Base machine configuration. */
-    cpu::CoreConfig base;
-};
 
 /** Results of simulating the whole suite. */
 struct SuiteRun
@@ -59,15 +39,10 @@ struct SuiteRun
     double meanIdleFraction() const;
 };
 
-/** Run the suite (one timing simulation per benchmark). */
-SuiteRun runSuite(const SuiteOptions &opts);
-
 /**
- * Average, over the suite, of each policy's energy relative to the
- * NoOverhead policy at technology point @p params (Figure 9a), and
- * of its leakage-to-total ratio (Figure 9b). Policies appear in
- * makePaperControllers order: MaxSleep, GradualSleep, AlwaysActive,
- * NoOverhead.
+ * Average, over a suite, of each policy's energy relative to the
+ * NoOverhead policy at one technology point (Figure 9a), and of its
+ * leakage-to-total ratio (Figure 9b), in the sweep's policy order.
  */
 struct SuitePolicyAverages
 {
@@ -75,9 +50,6 @@ struct SuitePolicyAverages
     std::vector<double> rel_to_nooverhead;
     std::vector<double> leakage_fraction;
 };
-
-SuitePolicyAverages
-averagePolicies(const SuiteRun &suite, const energy::ModelParams &params);
 
 } // namespace lsim::harness
 

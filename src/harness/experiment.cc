@@ -66,14 +66,6 @@ IdleProfile::addRun(bool busy, Cycle len)
     }
 }
 
-void
-IdleProfile::replayTo(sleep::SleepController &ctrl) const
-{
-    ctrl.activeRun(active_cycles);
-    for (const auto &[len, count] : intervals)
-        ctrl.idleRuns(len, count);
-}
-
 WorkloadSim
 simulateWorkload(const trace::WorkloadProfile &profile,
                  unsigned num_fus, std::uint64_t insts,
@@ -146,32 +138,6 @@ selectFuCount(const trace::WorkloadProfile &profile,
         ipc_by_fus[n - 1] = res.ipc;
     }
     return chooseFuCount(ipc_by_fus, threshold);
-}
-
-std::vector<sleep::PolicyResult>
-evaluatePolicies(const IdleProfile &idle,
-                 const energy::ModelParams &params,
-                 sleep::ControllerSet controllers)
-{
-    sleep::PolicyEvaluator eval(params, std::move(controllers));
-    // Feed the active total first (controllers are history-free in
-    // active cycles), then the interval multiset. The evaluator's
-    // internal idle recorder is bypassed for speed; total cycle
-    // accounting still needs one run registration.
-    eval.feedRun(true, idle.active_cycles);
-    // Direct replay of idle intervals into each controller would
-    // bypass the evaluator's totals, so feed through the evaluator:
-    for (const auto &[len, count] : idle.intervals)
-        eval.feedRuns(len, count);
-    return eval.results();
-}
-
-std::vector<sleep::PolicyResult>
-evaluatePaperPolicies(const IdleProfile &idle,
-                      const energy::ModelParams &params)
-{
-    return evaluatePolicies(idle, params,
-                            sleep::makePaperControllers(params));
 }
 
 } // namespace lsim::harness

@@ -1,9 +1,8 @@
 /**
  * @file
- * Experiment harness: runs workload profiles through the O3 core,
- * captures the sufficient statistics for energy evaluation (the
- * per-FU idle-interval structure), and evaluates sleep policies at
- * arbitrary technology points without re-simulating.
+ * Experiment harness: runs workload profiles through the O3 core
+ * and captures the sufficient statistics for energy evaluation (the
+ * per-FU idle-interval structure).
  *
  * The key observation enabling fast technology sweeps: all paper
  * policies account each idle interval independently of history, so
@@ -11,11 +10,10 @@
  * cycles) fully determines every policy's CycleCounts. One timing
  * simulation therefore supports the whole Figure 9 p-sweep.
  *
- * NOTE: new code should prefer the api:: facade (api/experiment.hh,
- * api/sweep.hh), which wraps these functions behind a builder,
- * string-keyed policies and a parallel sweep runner. The free
- * functions below remain as the facade's engine and as deprecated
- * shims for existing callers.
+ * NOTE: policies are evaluated through the api:: facade
+ * (api::evaluateProfile, api::Session, api::SweepRunner), which wraps
+ * these simulations behind a builder, string-keyed policies and a
+ * parallel sweep runner.
  */
 
 #ifndef LSIM_HARNESS_EXPERIMENT_HH
@@ -24,14 +22,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "cpu/config.hh"
 #include "cpu/core.hh"
-#include "energy/params.hh"
-#include "sleep/accumulator.hh"
-#include "sleep/controllers.hh"
 #include "trace/profile.hh"
 
 namespace lsim::harness
@@ -64,9 +58,6 @@ struct IdleProfile
 
     /** Record one maximal run (the FuPool sink feeds this). */
     void addRun(bool busy, Cycle len);
-
-    /** Replay into a controller (order-free; uses idleRuns). */
-    void replayTo(sleep::SleepController &ctrl) const;
 };
 
 /** One benchmark simulated at one FU count. */
@@ -127,30 +118,6 @@ FuSelection selectFuCount(const trace::WorkloadProfile &profile,
                           const cpu::CoreConfig &base = {},
                           double threshold = 0.95,
                           std::uint64_t seed = 1);
-
-/**
- * Evaluate a controller set against a stored IdleProfile at
- * technology point @p params; results are normalized per the
- * evaluator's E_base convention (Figure 8/9 axes).
- *
- * @deprecated Prefer api::evaluateProfile (registry-named policies)
- * or api::Session::evaluate; this remains as their engine.
- */
-std::vector<sleep::PolicyResult>
-evaluatePolicies(const IdleProfile &idle,
-                 const energy::ModelParams &params,
-                 sleep::ControllerSet controllers);
-
-/**
- * Convenience: evaluate the paper's four policies.
- *
- * @deprecated Thin shim over evaluatePolicies +
- * sleep::makePaperControllers; prefer api::Session::evaluate, which
- * defaults to the same four policies.
- */
-std::vector<sleep::PolicyResult>
-evaluatePaperPolicies(const IdleProfile &idle,
-                      const energy::ModelParams &params);
 
 } // namespace lsim::harness
 

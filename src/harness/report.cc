@@ -4,6 +4,18 @@ namespace lsim::harness
 {
 
 void
+writeTechnologyJson(JsonWriter &w, const energy::ModelParams &params)
+{
+    w.beginObject("technology");
+    w.field("p", params.p);
+    w.field("k", params.k);
+    w.field("s", params.s);
+    w.field("alpha", params.alpha);
+    w.field("duty", params.duty);
+    w.endObject();
+}
+
+void
 writeSimJson(JsonWriter &w, const WorkloadSim &sim)
 {
     w.beginObject("simulation");
@@ -64,26 +76,6 @@ writePoliciesJson(JsonWriter &w,
         w.endObject();
     }
     w.endArray();
-}
-
-void
-writeExperimentJson(std::ostream &os, const WorkloadSim &sim,
-                    const energy::ModelParams &params,
-                    const std::vector<sleep::PolicyResult> &res)
-{
-    JsonWriter w(os);
-    w.beginObject();
-    w.beginObject("technology");
-    w.field("p", params.p);
-    w.field("k", params.k);
-    w.field("s", params.s);
-    w.field("alpha", params.alpha);
-    w.field("duty", params.duty);
-    w.endObject();
-    writeSimJson(w, sim);
-    writePoliciesJson(w, res);
-    w.endObject();
-    os << "\n";
 }
 
 } // namespace lsim::harness

@@ -5,8 +5,8 @@
  * trackers) can consume bench output without parsing tables.
  *
  * These writers define the JSON schema; api::RunResult::writeJson
- * composes them, so the facade's output is bit-identical to the
- * legacy writeExperimentJson() record. New code should serialize
+ * and api::SweepResult::writeJson compose them, so both records
+ * share one definition of each object. New code should serialize
  * through api::RunResult / api::SweepResult instead of calling
  * these directly.
  */
@@ -14,14 +14,19 @@
 #ifndef LSIM_HARNESS_REPORT_HH
 #define LSIM_HARNESS_REPORT_HH
 
-#include <ostream>
 #include <vector>
 
 #include "common/json.hh"
+#include "energy/params.hh"
 #include "harness/experiment.hh"
+#include "sleep/accumulator.hh"
 
 namespace lsim::harness
 {
+
+/** Write a technology point as the JSON object "technology". */
+void writeTechnologyJson(JsonWriter &w,
+                         const energy::ModelParams &params);
 
 /** Write one benchmark simulation (timing + idle stats) as JSON. */
 void writeSimJson(JsonWriter &w, const WorkloadSim &sim);
@@ -29,17 +34,6 @@ void writeSimJson(JsonWriter &w, const WorkloadSim &sim);
 /** Write a policy evaluation result set as a JSON array. */
 void writePoliciesJson(JsonWriter &w,
                        const std::vector<sleep::PolicyResult> &results);
-
-/**
- * Write a complete experiment record: the simulation plus policy
- * results at the given technology point, as one JSON object on
- * @p os.
- *
- * @deprecated Prefer api::RunResult::writeJson (identical output).
- */
-void writeExperimentJson(std::ostream &os, const WorkloadSim &sim,
-                         const energy::ModelParams &params,
-                         const std::vector<sleep::PolicyResult> &res);
 
 } // namespace lsim::harness
 

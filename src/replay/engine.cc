@@ -311,7 +311,7 @@ MultiPointReplay::replayRange(sleep::SleepController &ctrl,
                               std::size_t begin, std::size_t end,
                               bool with_active) const
 {
-    // The exact scalar call sequence (harness::evaluatePolicies via
+    // The exact scalar call sequence (api::evaluateProfile via
     // PolicyEvaluator): the active total first, skipped when zero,
     // then each distinct interval length ascending.
     if (with_active && intervals_.active_cycles > 0)

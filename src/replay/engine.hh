@@ -3,7 +3,7 @@
  * Single-pass multi-point replay engine: evaluates every technology
  * point of a sweep cell in one pass over the idle-interval multiset.
  *
- * The scalar path (harness::evaluatePolicies) walks a workload's
+ * The scalar reference (api::evaluateProfile) walks a workload's
  * interval multiset once per (technology point) cell — O(points x
  * intervals) work for a p-sweep, the hottest loop in the codebase.
  * This engine restructures that replay around four observations:
@@ -47,8 +47,8 @@
  * length order, whether executed through the controller virtuals or
  * the batch kernels (which replicate the controllers' arithmetic
  * expression for expression) — so results are bit-identical to
- * harness::evaluatePolicies either way, and no equivalence flag
- * guards the kernel path. With multiple chunks the per-chunk partial
+ * api::evaluateProfile either way, and no equivalence flag guards
+ * the kernel path. With multiple chunks the per-chunk partial
  * sums are merged in chunk order; the reduction order differs, so
  * results agree only to ~1e-12 relative (tested), which is why
  * sharding engages only above the threshold or on request.

@@ -1,6 +1,7 @@
 #include "sleep/accumulator.hh"
 
 #include "common/logging.hh"
+#include "sleep/policy_registry.hh"
 
 namespace lsim::sleep
 {
@@ -55,7 +56,9 @@ PolicyEvaluator::PolicyEvaluator(const energy::ModelParams &params,
 PolicyEvaluator
 PolicyEvaluator::paperPolicies(const energy::ModelParams &params)
 {
-    return PolicyEvaluator(params, makePaperControllers(params));
+    return PolicyEvaluator(
+        params, PolicyRegistry::instance().makeSet(
+                    PolicyRegistry::paperSpecs(), params));
 }
 
 void

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sleep/policy_registry.hh"
-
 namespace lsim::sleep
 {
 
@@ -296,20 +294,6 @@ AdaptiveController::reset()
 {
     SleepController::reset();
     predicted_ = breakeven_;
-}
-
-ControllerSet
-makePaperControllers(const energy::ModelParams &params)
-{
-    return PolicyRegistry::instance().makeSet(
-        PolicyRegistry::paperSpecs(), params);
-}
-
-ControllerSet
-makeExtensionControllers(const energy::ModelParams &params)
-{
-    return PolicyRegistry::instance().makeSet(
-        PolicyRegistry::extensionSpecs(), params);
 }
 
 } // namespace lsim::sleep

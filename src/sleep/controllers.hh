@@ -402,28 +402,11 @@ class AdaptiveController : public SleepController
     double predicted_;
 };
 
-/** Owning collection of one controller per policy under study. */
+/**
+ * Owning collection of one controller per policy under study; built
+ * from policy specs by PolicyRegistry::makeSet.
+ */
 using ControllerSet = std::vector<std::unique_ptr<SleepController>>;
-
-/**
- * Build the paper's four policies (MaxSleep, GradualSleep,
- * AlwaysActive, NoOverhead) configured for @p params: GradualSleep
- * slice count = round(breakeven interval).
- *
- * @deprecated Thin shim over
- * PolicyRegistry::makeSet(PolicyRegistry::paperSpecs(), params);
- * prefer naming policies through the registry.
- */
-ControllerSet makePaperControllers(const energy::ModelParams &params);
-
-/**
- * Build the extension set (Timeout at breakeven, Oracle, Adaptive)
- * for the complex-control ablation.
- *
- * @deprecated Thin shim over
- * PolicyRegistry::makeSet(PolicyRegistry::extensionSpecs(), params).
- */
-ControllerSet makeExtensionControllers(const energy::ModelParams &params);
 
 } // namespace lsim::sleep
 

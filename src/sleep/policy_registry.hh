@@ -151,8 +151,8 @@ class PolicyRegistry
     static std::string keyFor(const SleepController &ctrl);
 
     /**
-     * Specs of the paper's four policies in makePaperControllers
-     * order: max-sleep, gradual, always-active, no-overhead.
+     * Specs of the paper's four policies, in the order every report
+     * lists them: max-sleep, gradual, always-active, no-overhead.
      */
     static const std::vector<std::string> &paperSpecs();
 

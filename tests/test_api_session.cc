@@ -1,19 +1,17 @@
 /**
  * @file
  * Unit tests for the api:: experiment facade: builder defaults,
- * facade/shim equivalence, and SweepRunner determinism across
- * thread counts.
+ * equivalence with the scalar reference (api::evaluateProfile), and
+ * SweepRunner validation and determinism across thread counts.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 #include "api/experiment.hh"
 #include "api/sweep.hh"
-#include "harness/benchmarks.hh"
-#include "harness/report.hh"
+#include "harness/experiment.hh"
 #include "sleep/policy_registry.hh"
 #include "trace/profile.hh"
 
@@ -86,25 +84,10 @@ TEST(ExperimentBuilder, MatchesTheLegacyFreeFunctionPath)
     const auto &profile = lsim::trace::profileByName("mcf");
     const auto ws = lsim::harness::simulateWorkload(
         profile, profile.paper_fus, kInsts);
-    const auto legacy =
-        lsim::harness::evaluatePaperPolicies(ws.idle, params(0.3));
+    const auto legacy = evaluateProfile(ws.idle, params(0.3));
     EXPECT_EQ(facade.sim.sim.cycles, ws.sim.cycles);
     EXPECT_EQ(facade.sim.sim.ipc, ws.sim.ipc);
     expectSameResults(facade.policies, legacy);
-}
-
-TEST(ExperimentBuilder, JsonIsBitIdenticalToTheShimWriter)
-{
-    const auto result = Experiment::builder()
-                            .workload("gzip")
-                            .insts(kInsts)
-                            .technology(0.05)
-                            .run();
-    std::ostringstream shim;
-    lsim::harness::writeExperimentJson(shim, result.sim,
-                                       result.technology,
-                                       result.policies);
-    EXPECT_EQ(result.toJson(), shim.str());
 }
 
 TEST(ExperimentBuilder, AutoSelectDerivesTheFuCount)
@@ -144,13 +127,11 @@ TEST(Session, EvaluateReplaysWithoutResimulating)
     const auto at_high = session.evaluate(0.5);
     // Same simulation object underneath...
     EXPECT_EQ(at_low.sim.sim.cycles, at_high.sim.sim.cycles);
-    // ...and each evaluation matches the legacy replay path.
+    // ...and each evaluation matches the scalar reference.
     expectSameResults(at_low.policies,
-                      lsim::harness::evaluatePaperPolicies(
-                          session.sim().idle, params(0.05)));
+                      evaluateProfile(session.sim().idle, params(0.05)));
     expectSameResults(at_high.policies,
-                      lsim::harness::evaluatePaperPolicies(
-                          session.sim().idle, params(0.5)));
+                      evaluateProfile(session.sim().idle, params(0.5)));
 }
 
 TEST(RunResult, PolicyLookupAndCsv)
@@ -195,6 +176,19 @@ TEST(SweepRunner, RejectsBadConfigsEagerly)
     bad_policy.technologies = pSweep(0.05, 0.5, 2);
     bad_policy.policies = {"max-sleep", "bogus"};
     EXPECT_THROW(SweepRunner{bad_policy}, std::invalid_argument);
+
+    // Only the last point leaves [0, 1]: every point is checked, not
+    // just the first.
+    SweepConfig bad_point;
+    bad_point.workloads = {"gcc", "mst"};
+    bad_point.technologies = pSweep(0.5, 1.5, 3);
+    EXPECT_THROW(SweepRunner{bad_point}, std::invalid_argument);
+
+    SweepConfig bad_fus;
+    bad_fus.workloads = {"gcc"};
+    bad_fus.technologies = pSweep(0.05, 0.5, 2);
+    bad_fus.fus = 9;
+    EXPECT_THROW(SweepRunner{bad_fus}, std::invalid_argument);
 }
 
 TEST(SweepRunner, ParallelSweepMatchesSingleThreadedExactly)
@@ -246,34 +240,6 @@ TEST(SweepRunner, CellsMatchSessionEvaluations)
         expectSameResults(
             sweep.cell(0, t).policies,
             session.evaluate(cfg.technologies[t]).policies);
-}
-
-TEST(SweepRunner, AveragesMatchTheLegacySuitePath)
-{
-    SweepConfig cfg;
-    cfg.workloads = {"gcc", "mcf"};
-    cfg.technologies = pSweep(0.05, 0.5, 2);
-    cfg.insts = kInsts;
-    const auto sweep = SweepRunner(cfg).run();
-
-    lsim::harness::SuiteRun suite;
-    for (const auto &name : cfg.workloads) {
-        const auto &profile = lsim::trace::profileByName(name);
-        suite.sims.push_back(lsim::harness::simulateWorkload(
-            profile, profile.paper_fus, kInsts));
-    }
-    for (std::size_t t = 0; t < cfg.technologies.size(); ++t) {
-        const auto avg = sweep.averagesAt(t);
-        const auto legacy = lsim::harness::averagePolicies(
-            suite, cfg.technologies[t]);
-        ASSERT_EQ(avg.names, legacy.names);
-        for (std::size_t i = 0; i < avg.names.size(); ++i) {
-            EXPECT_EQ(avg.rel_to_nooverhead[i],
-                      legacy.rel_to_nooverhead[i]);
-            EXPECT_EQ(avg.leakage_fraction[i],
-                      legacy.leakage_fraction[i]);
-        }
-    }
 }
 
 } // namespace

@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests for the shared bench-harness argument parsing
- * (bench/args.hh), the replacement for the retired
- * harness::SuiteOptions::parseArgs: every figure/table bench relies
- * on these "insts=<n> seed=<n>" overrides.
+ * (bench/args.hh): every figure/table bench relies on these
+ * "insts=<n> seed=<n>" overrides.
  */
 
 #include <gtest/gtest.h>

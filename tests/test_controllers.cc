@@ -12,6 +12,7 @@
 #include "energy/breakeven.hh"
 #include "energy/gradual_sleep_model.hh"
 #include "sleep/controllers.hh"
+#include "sleep/policy_registry.hh"
 
 namespace
 {
@@ -47,8 +48,7 @@ using lsim::sleep::OracleController;
 using lsim::sleep::SleepController;
 using lsim::sleep::TimeoutController;
 using lsim::sleep::WeightedGradualSleepController;
-using lsim::sleep::makeExtensionControllers;
-using lsim::sleep::makePaperControllers;
+using lsim::sleep::PolicyRegistry;
 
 ModelParams
 params(double p = 0.05)
@@ -340,7 +340,8 @@ TEST(WeightedGradualSleep, BadWeightsRejected)
 
 TEST(Factories, PaperSetOrderAndNames)
 {
-    const auto set = makePaperControllers(params());
+    const auto set = PolicyRegistry::instance().makeSet(
+        PolicyRegistry::paperSpecs(), params());
     ASSERT_EQ(set.size(), 4u);
     EXPECT_EQ(set[0]->name(), "MaxSleep");
     EXPECT_EQ(set[1]->name(), "GradualSleep");
@@ -350,7 +351,8 @@ TEST(Factories, PaperSetOrderAndNames)
 
 TEST(Factories, ExtensionSet)
 {
-    const auto set = makeExtensionControllers(params());
+    const auto set = PolicyRegistry::instance().makeSet(
+        PolicyRegistry::extensionSpecs(), params());
     ASSERT_EQ(set.size(), 3u);
     EXPECT_EQ(set[0]->name().substr(0, 7), "Timeout");
     EXPECT_EQ(set[1]->name(), "Oracle");

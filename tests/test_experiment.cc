@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/benchmarks.hh"
+#include "api/experiment.hh"
 #include "harness/experiment.hh"
 #include "obs/metrics.hh"
 #include "trace/profile.hh"
@@ -15,9 +15,9 @@ namespace
 {
 
 using lsim::Cycle;
+using lsim::api::evaluateProfile;
 using lsim::energy::ModelParams;
 using lsim::harness::IdleProfile;
-using lsim::harness::evaluatePaperPolicies;
 using lsim::harness::selectFuCount;
 using lsim::harness::simulateWorkload;
 using lsim::sleep::PolicyEvaluator;
@@ -78,7 +78,7 @@ TEST(IdleProfile, ReplayMatchesDirectFeeding)
         ip.addRun(r.busy, r.len);
         direct.feedRun(r.busy, r.len);
     }
-    const auto via_profile = evaluatePaperPolicies(ip, params());
+    const auto via_profile = evaluateProfile(ip, params());
     const auto via_direct = direct.results();
     ASSERT_EQ(via_profile.size(), via_direct.size());
     for (std::size_t i = 0; i < via_profile.size(); ++i) {
@@ -151,7 +151,7 @@ TEST(Harness, PolicyResultsOrderedAsPaper)
     IdleProfile ip;
     ip.addRun(true, 100);
     ip.addRun(false, 30);
-    const auto results = evaluatePaperPolicies(ip, params());
+    const auto results = evaluateProfile(ip, params());
     ASSERT_EQ(results.size(), 4u);
     EXPECT_EQ(results[0].name, "MaxSleep");
     EXPECT_EQ(results[1].name, "GradualSleep");

@@ -6,17 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include "api/experiment.hh"
+#include "api/sweep.hh"
 #include "energy/breakeven.hh"
 #include "harness/benchmarks.hh"
 #include "harness/experiment.hh"
+#include "sleep/policy_registry.hh"
 #include "trace/profile.hh"
 
 namespace
 {
 
+using lsim::api::evaluateProfile;
 using lsim::energy::ModelParams;
 using lsim::harness::WorkloadSim;
-using lsim::harness::evaluatePaperPolicies;
 using lsim::harness::simulateWorkload;
 using lsim::sleep::PolicyResult;
 using lsim::trace::profileByName;
@@ -76,7 +79,7 @@ TEST_F(IntegrationTest, LowLeakageFavorsAlwaysActive)
     // Figure 8a: at p = 0.05, MaxSleep uses more energy than
     // AlwaysActive (8.3% more on average in the paper).
     for (const auto *ws : {gzip_, mcf_}) {
-        const auto res = evaluatePaperPolicies(ws->idle, params(0.05));
+        const auto res = evaluateProfile(ws->idle, params(0.05));
         EXPECT_GT(find(res, "MaxSleep").energy,
                   find(res, "AlwaysActive").energy)
             << ws->name;
@@ -87,7 +90,7 @@ TEST_F(IntegrationTest, HighLeakageFavorsMaxSleep)
 {
     // Figure 8b: at p = 0.50, MaxSleep always beats AlwaysActive.
     for (const auto *ws : {gzip_, mcf_}) {
-        const auto res = evaluatePaperPolicies(ws->idle, params(0.5));
+        const auto res = evaluateProfile(ws->idle, params(0.5));
         EXPECT_LT(find(res, "MaxSleep").energy,
                   find(res, "AlwaysActive").energy)
             << ws->name;
@@ -97,7 +100,7 @@ TEST_F(IntegrationTest, HighLeakageFavorsMaxSleep)
 TEST_F(IntegrationTest, NoOverheadIsGlobalLowerBound)
 {
     for (double p : {0.05, 0.2, 0.5, 1.0}) {
-        const auto res = evaluatePaperPolicies(gzip_->idle, params(p));
+        const auto res = evaluateProfile(gzip_->idle, params(p));
         const double no = find(res, "NoOverhead").energy;
         for (const auto &r : res)
             EXPECT_GE(r.energy, no - 1e-9) << r.name << " p=" << p;
@@ -110,7 +113,7 @@ TEST_F(IntegrationTest, GradualSleepAvoidsBothExtremes)
     // policies across the whole technology range (within a small
     // margin).
     for (double p = 0.1; p <= 1.0; p += 0.1) {
-        const auto res = evaluatePaperPolicies(gzip_->idle, params(p));
+        const auto res = evaluateProfile(gzip_->idle, params(p));
         const double gs = find(res, "GradualSleep").energy;
         const double best = std::min(
             find(res, "MaxSleep").energy,
@@ -128,8 +131,8 @@ TEST_F(IntegrationTest, LeakageFractionGrowsWithTechnology)
     // Figure 9b: the leakage share of total energy rises steeply
     // with p for AlwaysActive (13% at p=0.05 to 60% at p=0.5 in the
     // paper).
-    const auto lo = evaluatePaperPolicies(mcf_->idle, params(0.05));
-    const auto hi = evaluatePaperPolicies(mcf_->idle, params(0.5));
+    const auto lo = evaluateProfile(mcf_->idle, params(0.05));
+    const auto hi = evaluateProfile(mcf_->idle, params(0.5));
     const double f_lo = find(lo, "AlwaysActive").leakage_fraction;
     const double f_hi = find(hi, "AlwaysActive").leakage_fraction;
     EXPECT_LT(f_lo, 0.45);
@@ -166,9 +169,9 @@ TEST_F(IntegrationTest, AlphaShiftsPolicyGaps)
     // Section 5: at lower alpha the MaxSleep-vs-AlwaysActive
     // difference grows (more nodes to discharge per transition).
     const auto lo_alpha =
-        evaluatePaperPolicies(gzip_->idle, params(0.5, 0.25));
+        evaluateProfile(gzip_->idle, params(0.5, 0.25));
     const auto hi_alpha =
-        evaluatePaperPolicies(gzip_->idle, params(0.5, 0.75));
+        evaluateProfile(gzip_->idle, params(0.5, 0.75));
     const double gap_lo =
         find(lo_alpha, "MaxSleep").relative_to_base -
         find(lo_alpha, "NoOverhead").relative_to_base;
@@ -180,10 +183,11 @@ TEST_F(IntegrationTest, AlphaShiftsPolicyGaps)
 
 TEST(SuiteHarness, RunSuiteAggregation)
 {
-    lsim::setInformEnabled(false);
-    lsim::harness::SuiteOptions opts;
-    opts.insts = 20000;
-    const auto suite = lsim::harness::runSuite(opts);
+    lsim::api::SweepConfig cfg;
+    cfg.technologies = {lsim::api::analysisPoint(0.5)};
+    cfg.insts = 20000;
+    const auto sweep = lsim::api::SweepRunner(cfg).run();
+    const lsim::harness::SuiteRun suite{sweep.sims};
     ASSERT_EQ(suite.sims.size(), 9u);
     // Paper FU counts were used.
     EXPECT_EQ(suite.byName("mcf").num_fus, 2u);
@@ -195,8 +199,7 @@ TEST(SuiteHarness, RunSuiteAggregation)
     EXPECT_LT(suite.meanIdleFraction(), 0.95);
     // Policy averaging returns the four paper policies with
     // NoOverhead pinned at 1.0 by construction.
-    const auto avg =
-        lsim::harness::averagePolicies(suite, params(0.5));
+    const auto avg = sweep.averagesAt(0);
     ASSERT_EQ(avg.names.size(), 4u);
     EXPECT_NEAR(avg.rel_to_nooverhead[3], 1.0, 1e-9);
     for (double rel : avg.rel_to_nooverhead)
@@ -206,9 +209,9 @@ TEST(SuiteHarness, RunSuiteAggregation)
 TEST_F(IntegrationTest, OracleBeatsAllPaperPoliciesButNoOverhead)
 {
     const ModelParams mp = params(0.2);
-    const auto paper = evaluatePaperPolicies(gzip_->idle, mp);
-    auto ext = lsim::harness::evaluatePolicies(
-        gzip_->idle, mp, lsim::sleep::makeExtensionControllers(mp));
+    const auto paper = evaluateProfile(gzip_->idle, mp);
+    const auto ext = evaluateProfile(
+        gzip_->idle, mp, lsim::sleep::PolicyRegistry::extensionSpecs());
     const double oracle = find(ext, "Oracle").energy;
     EXPECT_LE(oracle, find(paper, "MaxSleep").energy + 1e-9);
     EXPECT_LE(oracle, find(paper, "AlwaysActive").energy + 1e-9);

@@ -7,8 +7,8 @@
 
 #include <sstream>
 
+#include "api/experiment.hh"
 #include "common/json.hh"
-#include "harness/report.hh"
 
 namespace
 {
@@ -86,10 +86,10 @@ TEST(JsonReport, ExperimentRecordIsWellFormedish)
     lsim::harness::IdleProfile ip;
     ip.addRun(true, 100);
     ip.addRun(false, 20);
-    lsim::energy::ModelParams mp;
-    const auto res = lsim::harness::evaluatePaperPolicies(ip, mp);
+    lsim::api::RunResult result;
+    result.policies = lsim::api::evaluateProfile(ip, result.technology);
 
-    lsim::harness::WorkloadSim ws;
+    lsim::harness::WorkloadSim &ws = result.sim;
     ws.name = "synthetic";
     ws.num_fus = 1;
     ws.idle = ip;
@@ -98,9 +98,7 @@ TEST(JsonReport, ExperimentRecordIsWellFormedish)
     ws.sim.ipc = 2.5;
     ws.sim.fu_utilization = {0.8};
 
-    std::ostringstream os;
-    lsim::harness::writeExperimentJson(os, ws, mp, res);
-    const std::string out = os.str();
+    const std::string out = result.toJson();
 
     for (const char *key :
          {"\"technology\"", "\"simulation\"", "\"policies\"",

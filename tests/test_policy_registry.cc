@@ -21,8 +21,6 @@ using lsim::sleep::OracleController;
 using lsim::sleep::PolicyRegistry;
 using lsim::sleep::TimeoutController;
 using lsim::sleep::WeightedGradualSleepController;
-using lsim::sleep::makeExtensionControllers;
-using lsim::sleep::makePaperControllers;
 
 ModelParams
 params(double p = 0.05)
@@ -184,28 +182,6 @@ TEST(PolicyRegistry, MakeSetPreservesOrder)
     EXPECT_EQ(set[0]->name(), "NoOverhead");
     EXPECT_EQ(set[1]->name(), "MaxSleep");
     EXPECT_EQ(set[2]->name(), "AlwaysActive");
-}
-
-TEST(PolicyRegistry, LegacyFactoriesAreRegistryShims)
-{
-    // makePaperControllers / makeExtensionControllers must agree
-    // with the registry's canonical spec lists.
-    const auto paper = makePaperControllers(params());
-    const auto &specs = PolicyRegistry::paperSpecs();
-    ASSERT_EQ(paper.size(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const auto from_registry =
-            PolicyRegistry::instance().make(specs[i], params());
-        EXPECT_EQ(paper[i]->name(), from_registry->name());
-    }
-    EXPECT_EQ(paper[0]->name(), "MaxSleep");
-    EXPECT_EQ(paper[1]->name(), "GradualSleep");
-    EXPECT_EQ(paper[2]->name(), "AlwaysActive");
-    EXPECT_EQ(paper[3]->name(), "NoOverhead");
-
-    const auto ext = makeExtensionControllers(params());
-    ASSERT_EQ(ext.size(), PolicyRegistry::extensionSpecs().size());
-    EXPECT_EQ(ext[1]->name(), "Oracle");
 }
 
 } // namespace

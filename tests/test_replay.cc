@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "api/experiment.hh"
 #include "api/parallel.hh"
@@ -131,8 +130,8 @@ TEST(IntervalSet, FlattensSortedAndDropsZeroes)
 TEST(MultiPointReplay, MatchesScalarPathBitExactly)
 {
     // The engine contract: with a single chunk, every registry
-    // policy at every point reproduces harness::evaluatePolicies to
-    // the last bit.
+    // policy at every point reproduces api::evaluateProfile to the
+    // last bit.
     const auto idle = syntheticProfile();
     const auto points = somePoints();
     const auto specs = allPolicySpecs();
@@ -267,8 +266,10 @@ TEST(SweepRunner, SingleStepSweepRuns)
     EXPECT_GT(result.cells[0].policies[0].energy, 0.0);
 }
 
-TEST(SweepRunner, ScalarFlagMatchesEngineByteForByte)
+TEST(SweepRunner, CellsMatchTheScalarReferenceBitForBit)
 {
+    // Every cell of a sweep, history-dependent adaptive included,
+    // equals one api::evaluateProfile walk at its point.
     api::SweepConfig cfg;
     cfg.workloads = {"gcc", "mst"};
     cfg.technologies = api::pSweep(0.05, 1.0, 5);
@@ -276,20 +277,14 @@ TEST(SweepRunner, ScalarFlagMatchesEngineByteForByte)
     cfg.policies = {"max-sleep", "gradual", "timeout", "adaptive",
                     "no-overhead"};
 
-    api::SweepConfig scalar = cfg;
-    scalar.scalar_replay = true;
-
-    const auto engine_result = api::SweepRunner(cfg).run();
-    const auto scalar_result = api::SweepRunner(scalar).run();
-
-    std::ostringstream engine_csv, scalar_csv, engine_json,
-        scalar_json;
-    engine_result.writeCsv(engine_csv);
-    scalar_result.writeCsv(scalar_csv);
-    engine_result.writeJson(engine_json);
-    scalar_result.writeJson(scalar_json);
-    EXPECT_EQ(engine_csv.str(), scalar_csv.str());
-    EXPECT_EQ(engine_json.str(), scalar_json.str());
+    const auto result = api::SweepRunner(cfg).run();
+    ASSERT_EQ(result.cells.size(), 2u * 5u);
+    for (std::size_t w = 0; w < cfg.workloads.size(); ++w)
+        for (std::size_t t = 0; t < cfg.technologies.size(); ++t)
+            expectBitExact(result.cell(w, t).policies,
+                           api::evaluateProfile(result.sims[w].idle,
+                                                cfg.technologies[t],
+                                                cfg.policies));
 }
 
 TEST(SweepRunner, ChunkedSweepStaysWithinTolerance)

@@ -164,10 +164,16 @@ TEST(Daemon, MalformedSpecsLandInFailedAndDoNotStopTheDrain)
               R"({"sweeps": [{"benchmarks": ["no-such-bench"],
                               "steps": 2}]})");
     writeFile(fs::path(spool) / "c_good.json", kSpec);
+    // Admitted, but its last point leaves [0, 1]: it must fail as a
+    // request, not abort a replay worker.
+    writeFile(fs::path(spool) / "d_bad_p.json",
+              R"({"sweeps": [{"benchmarks": ["gcc", "mst"],
+                              "p_min": 0.5, "p_max": 1.5,
+                              "steps": 3, "insts": 2000}]})");
 
     Daemon daemon(baseConfig(spool));
-    EXPECT_EQ(daemon.drainOnce(), 3u);
-    EXPECT_EQ(daemon.stats().failed, 2u);
+    EXPECT_EQ(daemon.drainOnce(), 4u);
+    EXPECT_EQ(daemon.stats().failed, 3u);
     EXPECT_EQ(daemon.stats().done, 1u);
 
     EXPECT_TRUE(
@@ -190,6 +196,15 @@ TEST(Daemon, MalformedSpecsLandInFailedAndDoNotStopTheDrain)
             .string());
     EXPECT_EQ(spec_err.at("state").asString(), "error");
     EXPECT_NE(spec_err.at("error").asString().find("no-such-bench"),
+              std::string::npos);
+
+    EXPECT_TRUE(
+        fs::exists(fs::path(spool) / "failed" / "d_bad_p.json"));
+    const JsonValue p_err = parseJsonFile(
+        (fs::path(spool) / "results" / "d_bad_p" / "status.json")
+            .string());
+    EXPECT_EQ(p_err.at("state").asString(), "error");
+    EXPECT_NE(p_err.at("error").asString().find("p=1.5"),
               std::string::npos);
 }
 

@@ -308,8 +308,6 @@ commands()
           {"cache-dir", "DIR",
            "profile store shared across runs (skips warm phase-1 "
            "simulations)"},
-          {"scalar-replay", nullptr,
-           "legacy per-cell phase-2 replay (equivalence testing)"},
           {"chunk-intervals", "N",
            "distinct interval lengths per phase-2 replay chunk "
            "(default 0 = auto)"},
@@ -652,7 +650,6 @@ cmdSweep(const Args &args)
         cfg.imports = splitList(
             args.flagOrPositional("imports", ~std::size_t{0}));
     cfg.cache_dir = args.flagOrPositional("cache-dir", ~std::size_t{0});
-    cfg.scalar_replay = args.has("scalar-replay");
     const std::string chunk_text =
         args.flagOrPositional("chunk-intervals", ~std::size_t{0});
     cfg.chunk_intervals = chunk_text.empty()
