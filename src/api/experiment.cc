@@ -119,6 +119,8 @@ evaluateProfile(const harness::IdleProfile &idle,
         : policy_keys;
     sleep::PolicyEvaluator eval(
         params, sleep::PolicyRegistry::instance().makeSet(keys, params));
+    // The engine's equivalence contract replays exactly this order:
+    // the active total first, then each interval length ascending.
     eval.feedRun(true, idle.active_cycles);
     for (const auto &[len, count] : idle.intervals)
         eval.feedRuns(len, count);

@@ -74,7 +74,7 @@ TEST(ExperimentBuilder, DefaultsMatchThePaperSetup)
     EXPECT_FALSE(result.fu_selection.has_value());
 }
 
-TEST(ExperimentBuilder, MatchesTheLegacyFreeFunctionPath)
+TEST(ExperimentBuilder, MatchesTheFreeFunctionPath)
 {
     const auto facade = Experiment::builder()
                             .workload("mcf")
@@ -84,10 +84,10 @@ TEST(ExperimentBuilder, MatchesTheLegacyFreeFunctionPath)
     const auto &profile = lsim::trace::profileByName("mcf");
     const auto ws = lsim::harness::simulateWorkload(
         profile, profile.paper_fus, kInsts);
-    const auto legacy = evaluateProfile(ws.idle, params(0.3));
+    const auto reference = evaluateProfile(ws.idle, params(0.3));
     EXPECT_EQ(facade.sim.sim.cycles, ws.sim.cycles);
     EXPECT_EQ(facade.sim.sim.ipc, ws.sim.ipc);
-    expectSameResults(facade.policies, legacy);
+    expectSameResults(facade.policies, reference);
 }
 
 TEST(ExperimentBuilder, AutoSelectDerivesTheFuCount)
