@@ -32,7 +32,7 @@ CsvWriter::writeRow(const std::vector<std::string> &cells)
 std::string
 CsvWriter::escape(const std::string &cell)
 {
-    if (cell.find_first_of(",\"\n") == std::string::npos)
+    if (cell.find_first_of(",\"\r\n") == std::string::npos)
         return cell;
     std::string quoted = "\"";
     for (char ch : cell) {

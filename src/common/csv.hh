@@ -16,7 +16,8 @@ namespace lsim
 
 /**
  * Writes rows of cells to a CSV file or stream. Cells containing
- * commas or quotes are quoted per RFC 4180.
+ * commas, quotes, carriage returns or newlines are quoted per
+ * RFC 4180.
  */
 class CsvWriter
 {

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/logging.hh"
+#include "common/table.hh"
 
 namespace lsim
 {
@@ -164,9 +165,7 @@ JsonWriter::number(double v)
 {
     if (!std::isfinite(v))
         return "null"; // JSON has no inf/nan
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    return buf;
+    return compactNumber(v);
 }
 
 std::string

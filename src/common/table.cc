@@ -1,6 +1,7 @@
 #include "common/table.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "common/logging.hh"
@@ -69,9 +70,13 @@ sci(double value, int digits)
 std::string
 compactNumber(double value)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    return buf;
+    // The standard defines this call as printf's %.12g in the "C"
+    // locale; it formats without printf's locale and format parsing.
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof(buf), value,
+                                   std::chars_format::general, 12)
+                         .ptr;
+    return std::string(buf, end);
 }
 
 } // namespace lsim

@@ -51,8 +51,9 @@ std::string fixed(double value, int digits = 3);
 std::string sci(double value, int digits = 2);
 
 /**
- * Shortest round-trippable general format (%.12g) — shared by CSV
- * emission and policy-spec encoding.
+ * General format with 12 significant digits, byte-identical to
+ * printf's %.12g — the one number format of CSV and JSON emission and
+ * policy-spec encoding.
  */
 std::string compactNumber(double value);
 

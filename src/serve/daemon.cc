@@ -657,7 +657,6 @@ Daemon::execute(const QueuedRequest &qr)
     req.queued_at = qr.queued_at;
 
     api::BatchResult result;
-    std::vector<std::pair<std::string, std::string>> rendered;
     try {
         api::BatchConfig batch =
             batchConfigFromJson(parseJson(qr.spec_text));
@@ -707,12 +706,25 @@ Daemon::execute(const QueuedRequest &qr)
     }
 
     // Render once; the primary and every follower get these bytes.
-    rendered.reserve(result.sweeps.size());
-    for (const auto &sweep : result.sweeps) {
-        std::ostringstream csv, json;
-        sweep.writeCsv(csv);
-        sweep.writeJson(json);
-        rendered.emplace_back(csv.str(), json.str());
+    // The pool is idle once the batch returns, so each sweep's CSV
+    // (task 2s) and JSON (task 2s + 1) render as index-addressed
+    // tasks into their own slots.
+    std::vector<std::pair<std::string, std::string>> rendered(
+        result.sweeps.size());
+    {
+        obs::TraceSpan render_span("serve.render", "serve");
+        obs::ScopedTimerMs timer(obs::histogram("serve.render_ms"));
+        pool_.run(2 * rendered.size(), [&](std::size_t t) {
+            const api::SweepResult &sweep = result.sweeps[t / 2];
+            std::ostringstream os;
+            if (t % 2 == 0) {
+                sweep.writeCsv(os);
+                rendered[t / 2].first = std::move(os).str();
+            } else {
+                sweep.writeJson(os);
+                rendered[t / 2].second = std::move(os).str();
+            }
+        });
     }
 
     req.sweeps = result.sweeps.size();

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "api/batch.hh"
 #include "common/json.hh"
@@ -30,6 +31,16 @@ using namespace lsim::serve;
 constexpr const char *kSpec =
     R"({"sweeps": [{"benchmarks": ["gcc"], "steps": 2,
                     "insts": 20000}]})";
+
+/** Three sweeps that differ in benchmarks, policies and steps: six
+ * outputs, each rendered by its own pool task. */
+constexpr const char *kMultiSpec =
+    R"({"sweeps": [
+          {"benchmarks": ["gcc", "mst"], "steps": 3, "insts": 20000},
+          {"benchmarks": ["mcf"], "policies": ["max-sleep", "timeout:64"],
+           "steps": 2, "insts": 20000},
+          {"benchmarks": ["gcc"], "policies": ["gradual", "oracle"],
+           "p_min": 0.1, "p_max": 0.4, "steps": 5, "insts": 20000}]})";
 
 /** Fresh per-test directory under gtest's temp root. */
 std::string
@@ -120,28 +131,40 @@ TEST(Daemon, OnceExecutesSpecByteIdenticalToBatch)
 {
     const std::string spool = freshDir("once");
     writeFile(fs::path(spool) / "req.json", kSpec);
+    writeFile(fs::path(spool) / "multi.json", kMultiSpec);
 
     Daemon daemon(baseConfig(spool));
-    EXPECT_EQ(daemon.drainOnce(), 1u);
-    EXPECT_EQ(daemon.stats().done, 1u);
+    EXPECT_EQ(daemon.drainOnce(), 2u);
+    EXPECT_EQ(daemon.stats().done, 2u);
     EXPECT_EQ(daemon.stats().failed, 0u);
 
     // The spec was consumed into done/.
     EXPECT_FALSE(fs::exists(fs::path(spool) / "req.json"));
     EXPECT_TRUE(fs::exists(fs::path(spool) / "done" / "req.json"));
 
-    // Results are byte-identical to a direct BatchRunner run of the
-    // same spec.
-    const auto reference =
-        api::BatchRunner(batchConfigFromJson(parseJson(kSpec)))
-            .run();
-    ASSERT_EQ(reference.sweeps.size(), 1u);
-    std::ostringstream csv, json;
-    reference.sweeps[0].writeCsv(csv);
-    reference.sweeps[0].writeJson(json);
+    // Every delivered sweep is byte-identical to a serial render of a
+    // direct BatchRunner run of the same spec.
+    for (const auto &[name, spec, sweeps] :
+         {std::tuple{"req", kSpec, 1u},
+          std::tuple{"multi", kMultiSpec, 3u}}) {
+        SCOPED_TRACE(name);
+        const auto reference =
+            api::BatchRunner(batchConfigFromJson(parseJson(spec)))
+                .run();
+        ASSERT_EQ(reference.sweeps.size(), sweeps);
+        const fs::path results = fs::path(spool) / "results" / name;
+        for (std::size_t i = 0; i < sweeps; ++i) {
+            std::ostringstream csv, json;
+            reference.sweeps[i].writeCsv(csv);
+            reference.sweeps[i].writeJson(json);
+            const std::string stem = "sweep_" + std::to_string(i);
+            EXPECT_EQ(readFile(results / (stem + ".csv")), csv.str());
+            EXPECT_EQ(readFile(results / (stem + ".json")), json.str());
+        }
+        EXPECT_FALSE(fs::exists(
+            results / ("sweep_" + std::to_string(sweeps) + ".csv")));
+    }
     const fs::path results = fs::path(spool) / "results" / "req";
-    EXPECT_EQ(readFile(results / "sweep_0.csv"), csv.str());
-    EXPECT_EQ(readFile(results / "sweep_0.json"), json.str());
 
     // The status file is machine-readable and complete.
     const JsonValue status =
