@@ -9,8 +9,10 @@
  *
  * Runs on api::SweepRunner with registry-named policies: the suite
  * is simulated once and both technology points replay each profile
- * through the multi-point engine (the Adaptive policy exercises its
- * sequential fallback path).
+ * through the multi-point engine, every policy through its batch
+ * kernel (Adaptive through its stateful lane kernel). Replay feeds
+ * Adaptive each profile's interval lengths in ascending order, not
+ * time order (ROADMAP item 1), so its column here tracks Oracle.
  *
  * Arguments: insts=<n> (default 500000), seed=<n>.
  */

@@ -8,6 +8,7 @@
 #include "common/json.hh"
 #include "harness/report.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "replay/engine.hh"
 #include "sleep/policy_registry.hh"
 #include "store/profile_store.hh"
@@ -191,18 +192,24 @@ detail::ReplayDriver::run(unsigned threads, ThreadPool *pool,
     // Pre-stage: construct the engines in parallel (each writes only
     // its own slot). The runner constructors built every policy set
     // at every technology point, so construction cannot throw here.
-    runOn(pool, jobs_.size(), threads, [&](std::size_t j) {
-        if (cancelled())
-            return;
-        EngineJob &job = jobs_[j];
-        replay::ReplayOptions options;
-        options.chunk_intervals = job.chunk_intervals;
-        job.engine.emplace(
-            replay::IntervalSet::fromProfile(
-                job.result->sims[job.workload].idle),
-            job.result->technologies, job.result->policy_keys,
-            options);
-    });
+    // Each stage is timed here, not in src/replay, which stays
+    // clock-free.
+    {
+        obs::TraceSpan span("replay.build", "replay");
+        obs::ScopedTimerMs timer(obs::histogram("replay.build_ms"));
+        runOn(pool, jobs_.size(), threads, [&](std::size_t j) {
+            if (cancelled())
+                return;
+            EngineJob &job = jobs_[j];
+            replay::ReplayOptions options;
+            options.chunk_intervals = job.chunk_intervals;
+            job.engine.emplace(
+                replay::IntervalSet::fromProfile(
+                    job.result->sims[job.workload].idle),
+                job.result->technologies, job.result->policy_keys,
+                options);
+        });
+    }
     throwIfCancelled();
 
     // Kernel-vs-fallback coverage, read off the engines here so the
@@ -237,14 +244,20 @@ detail::ReplayDriver::run(unsigned threads, ThreadPool *pool,
              ++t)
             pieces.push_back({j, t});
 
-    runOn(pool, pieces.size(), threads, [&](std::size_t i) {
-        if (cancelled())
-            return;
-        jobs_[pieces[i].job].engine->runTask(pieces[i].task);
-    });
+    {
+        obs::TraceSpan span("replay.run", "replay");
+        obs::ScopedTimerMs timer(obs::histogram("replay.run_ms"));
+        runOn(pool, pieces.size(), threads, [&](std::size_t i) {
+            if (cancelled())
+                return;
+            jobs_[pieces[i].job].engine->runTask(pieces[i].task);
+        });
+    }
     throwIfCancelled();
 
     // Merge + scatter into cells; independent per job.
+    obs::TraceSpan span("replay.finalize", "replay");
+    obs::ScopedTimerMs timer(obs::histogram("replay.finalize_ms"));
     runOn(pool, jobs_.size(), threads, [&](std::size_t j) {
         EngineJob &job = jobs_[j];
         auto results = job.engine->finalize();

@@ -17,51 +17,10 @@ namespace
 /** Clamp matching the Log2Histogram default the profiles use. */
 constexpr Cycle kBucketClamp = 8192;
 
-/**
- * Identity of a controller's *configuration*: two controllers that
- * compare equal accumulate bit-identical CycleCounts from the same
- * interval stream, so they can share one accumulator unit.
- * History-free controllers are identified by their KernelSpec;
- * Adaptive is deterministic but history-dependent, so it dedups by
- * its parameters yet can never shard or kernelize. Unknown registry
- * additions compare equal to nothing.
- */
-struct UnitConfig
-{
-    sleep::KernelSpec spec;   ///< valid when spec.historyFree()
-    bool adaptive = false;
-    double ad_breakeven = 0.0;
-    double ad_weight = 0.0;
-
-    bool dedupable() const { return spec.historyFree() || adaptive; }
-
-    bool matches(const UnitConfig &o) const
-    {
-        if (spec.historyFree())
-            return o.spec.historyFree() && spec == o.spec;
-        if (adaptive)
-            return o.adaptive && ad_breakeven == o.ad_breakeven &&
-                   ad_weight == o.ad_weight;
-        return false;
-    }
-};
-
-UnitConfig
-configOf(const sleep::SleepController &ctrl)
-{
-    UnitConfig cfg;
-    cfg.spec = ctrl.kernelSpec();
-    if (!cfg.spec.historyFree()) {
-        if (const auto *ad =
-                dynamic_cast<const sleep::AdaptiveController *>(
-                    &ctrl)) {
-            cfg.adaptive = true;
-            cfg.ad_breakeven = ad->breakeven();
-            cfg.ad_weight = ad->ewmaWeight();
-        }
-    }
-    return cfg;
-}
+/** Adaptive lanes per kernel group, and so per task: Adaptive never
+ * shards, so a one-workload sweep spreads its lanes over the pool
+ * instead (34 points make 5 tasks). */
+constexpr std::size_t kAdaptiveGroupLanes = 8;
 
 /**
  * Chunk boundaries over the sorted distinct-length array: contiguous
@@ -159,22 +118,22 @@ MultiPointReplay::MultiPointReplay(
         resolved.push_back(
             sleep::PolicyRegistry::instance().resolve(key));
 
-    std::vector<UnitConfig> unit_configs;
     for (std::size_t t = 0; t < points_.size(); ++t) {
         for (std::size_t k = 0; k < num_policies; ++k) {
             // SpecFn-registered policies classify without building a
-            // controller; the rest are built and asked (configOf).
-            UnitConfig cfg;
+            // controller; the rest are built and asked. Equal specs
+            // accumulate bit-identical counts; a Kind::None policy
+            // equals nothing, not even itself at another point.
+            sleep::KernelSpec spec = resolved[k].trySpec(points_[t]);
             std::unique_ptr<sleep::SleepController> ctrl;
-            cfg.spec = resolved[k].trySpec(points_[t]);
-            if (!cfg.spec.historyFree()) {
+            if (!spec.hasKernel()) {
                 ctrl = resolved[k].make(points_[t]);
-                cfg = configOf(*ctrl);
+                spec = ctrl->kernelSpec();
             }
             std::size_t unit = units_.size();
-            if (cfg.dedupable()) {
+            if (spec.hasKernel()) {
                 for (std::size_t u = 0; u < units_.size(); ++u) {
-                    if (cfg.matches(unit_configs[u])) {
+                    if (units_[u].spec == spec) {
                         unit = u;
                         break;
                     }
@@ -182,11 +141,10 @@ MultiPointReplay::MultiPointReplay(
             }
             if (unit == units_.size()) {
                 Unit fresh;
-                fresh.proto = ctrl ? std::move(ctrl)
-                                   : cfg.spec.makeController();
-                fresh.spec = cfg.spec;
+                fresh.proto =
+                    ctrl ? std::move(ctrl) : spec.makeController();
+                fresh.spec = std::move(spec);
                 units_.push_back(std::move(fresh));
-                unit_configs.push_back(std::move(cfg));
             }
             unit_of_[t * num_policies + k] = unit;
         }
@@ -202,36 +160,40 @@ MultiPointReplay::MultiPointReplay(
     chunk_bounds_ = chunkBounds(intervals_, chunk_intervals);
     num_chunks_ = chunk_bounds_.size() - 1;
 
-    // Kernel path: gather history-free units into one batch per
-    // policy kind — one SoA lane per deduplicated configuration, so
-    // a single pass over the interval arrays fills every technology
-    // point's accumulator for that policy.
+    // Kernel path: gather units into one batch per policy kind —
+    // one SoA lane per deduplicated configuration, so a single pass
+    // over the interval arrays fills every technology point's
+    // accumulator for that policy. Adaptive lanes each walk the
+    // whole stream, so they batch in groups of kAdaptiveGroupLanes.
     if (options.use_kernels) {
         for (std::size_t u = 0; u < units_.size(); ++u) {
-            if (!units_[u].spec.historyFree())
+            const sleep::KernelSpec &spec = units_[u].spec;
+            if (!spec.hasKernel())
                 continue;
             KernelGroup *group = nullptr;
             for (auto &g : groups_)
-                if (g.batch.kind() == units_[u].spec.kind)
+                if (g.batch.kind() == spec.kind &&
+                    (spec.historyFree() ||
+                     g.batch.lanes() < kAdaptiveGroupLanes))
                     group = &g;
             if (!group) {
-                groups_.push_back(
-                    KernelGroup{kernels::KernelBatch(
-                                    units_[u].spec.kind),
-                                {}, {}, {}});
+                groups_.push_back(KernelGroup{
+                    kernels::KernelBatch(spec.kind), {}, {}, {}});
                 group = &groups_.back();
             }
-            group->batch.addLane(units_[u].spec);
+            group->batch.addLane(spec);
             group->units.push_back(u);
             units_[u].kernel = true;
         }
     }
 
-    // Schedulable tasks: one per (group, chunk) for kernel batches,
-    // one per (unit, chunk) for shardable fallback units, one whole-
-    // stream task for everything history-dependent or unknown.
+    // Schedulable tasks: one per (group, chunk) for history-free
+    // kernel batches, one per (unit, chunk) for shardable fallback
+    // units, and one whole-stream task for every Adaptive group and
+    // every fallback unit that cannot shard.
     for (std::size_t g = 0; g < groups_.size(); ++g) {
-        if (num_chunks_ > 1) {
+        const std::size_t first_unit = groups_[g].units.front();
+        if (num_chunks_ > 1 && units_[first_unit].spec.historyFree()) {
             groups_[g].partial_banks.resize(num_chunks_);
             for (std::size_t c = 0; c < num_chunks_; ++c) {
                 groups_[g].partial_banks[c].resize(

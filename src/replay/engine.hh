@@ -22,23 +22,26 @@
  *     sorted, contiguous length/count arrays (IntervalSet) that every
  *     unit streams over, instead of re-walking a std::map per cell
  *     and re-feeding the evaluator's idle recorder.
- *  3. For a history-free policy (any controller reporting a
- *     KernelSpec) the per-interval accounting is a closed form of
- *     the interval length, so the units that dedup could NOT
- *     collapse — per-point gradual slice counts, timeout and oracle
- *     thresholds — replay as one *batched kernel* pass per policy
- *     kind: a struct-of-arrays accumulator bank filled by
+ *  3. Every controller reporting a KernelSpec has a batch kernel.
+ *     For a history-free policy the per-interval accounting is a
+ *     closed form of the interval length, so the units that dedup
+ *     could NOT collapse — per-point gradual slice counts, timeout
+ *     and oracle thresholds — replay as one *batched kernel* pass
+ *     per policy kind: a struct-of-arrays accumulator bank filled by
  *     branch-regular, auto-vectorizable array kernels
  *     (replay/kernels.hh) instead of one virtual dispatch per
- *     (unit, length). This is the default; ReplayOptions::use_kernels
- *     = false restores per-unit virtual dispatch for equivalence
- *     testing and benchmarking.
+ *     (unit, length). Adaptive carries an EWMA prediction from run
+ *     to run, so its kernel steps each lane through every run in
+ *     stream order, a few lanes at a time, with the controller's
+ *     exact arithmetic. This is the default;
+ *     ReplayOptions::use_kernels = false restores per-unit virtual
+ *     dispatch for equivalence testing and benchmarking.
  *  4. For very long simulations the sorted interval array can be
  *     sharded into chunks aligned to Log2Histogram bucket boundaries;
- *     chunks replay into independent partial accumulators (a fresh
- *     controller or kernel bank per chunk) that are merged in chunk
- *     order, so phase 2 parallelizes below cell granularity yet
- *     stays deterministic for any thread count.
+ *     chunks of history-free units replay into independent partial
+ *     accumulators (a fresh controller or kernel bank per chunk)
+ *     that are merged in chunk order, so phase 2 parallelizes below
+ *     cell granularity yet stays deterministic for any thread count.
  *
  * Equivalence contract: with a single chunk (the default below the
  * auto-shard threshold) every accumulator receives the exact
@@ -53,11 +56,20 @@
  * results agree only to ~1e-12 relative (tested), which is why
  * sharding engages only above the threshold or on request.
  *
- * History-dependent policies (Adaptive) and external registrations
- * that do not override SleepController::kernelSpec() cannot be
- * kernelized or sharded: they replay the whole interval set
- * sequentially per distinct configuration, as their own parallel
- * task (the fallback path).
+ * Adaptive is never sharded: a chunk would restart its prediction.
+ * Its kernel lanes instead split into groups of a few lanes, one
+ * whole-stream task each, so a one-workload sweep still spreads
+ * over the pool. External registrations that do not override
+ * SleepController::kernelSpec() can be neither kernelized nor
+ * sharded: they replay the whole interval set sequentially per
+ * (point, policy), as their own parallel task (the fallback path).
+ *
+ * The stream each unit reads is the interval multiset in ascending
+ * length order. A history-free policy needs only the multiset;
+ * Adaptive's EWMA needs each FU's runs in time order, which the
+ * profile does not hold (ROADMAP item 1), so it reads the ascending
+ * stream too. Its kernel reads no order property of the stream, so
+ * a time-ordered stream can replace it without touching the kernel.
  */
 
 #ifndef LSIM_REPLAY_ENGINE_HH
@@ -112,7 +124,7 @@ struct ReplayOptions
     std::size_t chunk_intervals = 0;
 
     /**
-     * Replay history-free policies through the batched closed-form
+     * Replay every policy with a KernelSpec through the batch
      * kernels (bit-exact; the default). false restores the per-unit
      * virtual-dispatch replay — same results, kept for equivalence
      * tests and the kernel-vs-virtual benchmark dimension.
@@ -198,7 +210,8 @@ class MultiPointReplay
      */
     std::size_t numUnits() const { return units_.size(); }
 
-    /** Batched kernel invocations (one per history-free kind). */
+    /** Batched kernel invocations: one per history-free kind, and
+     * one per group of up to eight Adaptive lanes. */
     std::size_t numKernelGroups() const { return groups_.size(); }
 
     /** Units replayed through batch kernels (vs the fallback). */
@@ -217,9 +230,10 @@ class MultiPointReplay
          * directly for unchunked fallback units. */
         std::unique_ptr<sleep::SleepController> proto;
 
-        /** Closed-form self-classification. historyFree() units may
-         * shard and (by default) replay through batch kernels;
-         * Kind::None units take the sequential fallback path. */
+        /** Self-classification; equal specs share one unit. Units
+         * with a kernel replay (by default) through batch kernels,
+         * historyFree() ones may shard, and Kind::None units take
+         * the sequential fallback path. */
         sleep::KernelSpec spec;
 
         /** True when a kernel group lane accumulates this unit. */
@@ -233,8 +247,9 @@ class MultiPointReplay
         energy::CycleCounts counts;
     };
 
-    /** One batched kernel: every kernelized unit of one policy kind,
-     * one SoA accumulator lane per unit. */
+    /** One batched kernel: the kernelized units of one policy kind
+     * (every one, or up to eight for Adaptive), one SoA accumulator
+     * lane per unit. */
     struct KernelGroup
     {
         kernels::KernelBatch batch;

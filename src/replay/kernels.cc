@@ -1,9 +1,11 @@
 #include "replay/kernels.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "replay/engine.hh"
+#include "sleep/controllers.hh"
 
 namespace lsim::replay::kernels
 {
@@ -57,6 +59,10 @@ KernelBatch::addLane(const sleep::KernelSpec &spec)
         break;
     case Kind::Oracle:
         breakevens_.push_back(spec.breakeven);
+        break;
+    case Kind::Adaptive:
+        breakevens_.push_back(spec.breakeven);
+        ewma_weights_.push_back(spec.ewma_weight);
         break;
     case Kind::WeightedGradual: {
         // The asleep-after prefix sums, accumulated exactly as the
@@ -326,6 +332,133 @@ runOracle(const std::vector<double> &breakevens,
     }
 }
 
+/** Stream entries per Adaptive tile: a tile's lengths and counts
+ * stay in L1 while every lane block walks it (1,024 runs on a
+ * time-ordered stream of one run per entry). */
+constexpr std::size_t kAdaptiveTileEntries = 1024;
+
+/** Adaptive lanes per vector: 128 bits, the SSE2 and NEON width. */
+constexpr std::size_t kAdaptiveVecLanes = 2;
+
+/** Vectors one block keeps in registers. Each lane's EWMA is a
+ * serial multiply-add chain, so more independent chains hide more
+ * latency until registers run out: four lanes measured best. */
+constexpr std::size_t kAdaptiveBlockVecs = 2;
+
+constexpr std::size_t kAdaptiveBlockLanes =
+    kAdaptiveVecLanes * kAdaptiveBlockVecs;
+
+/** kAdaptiveVecLanes lanes as one vector (GCC/Clang vector
+ * extension): each operator acts lane by lane with scalar IEEE
+ * semantics, and a comparison yields an all-ones or all-zeros
+ * integer mask per lane. */
+typedef double AdaptiveVec
+    __attribute__((vector_size(sizeof(double) * kAdaptiveVecLanes)));
+typedef decltype(AdaptiveVec{} < AdaptiveVec{}) AdaptiveMask;
+
+/** Per lane, @p a where @p m is set, else @p b — bit for bit. */
+inline AdaptiveVec
+blend(AdaptiveMask m, AdaptiveVec a, AdaptiveVec b)
+{
+    return (AdaptiveVec)(((AdaptiveMask)a & m) | ((AdaptiveMask)b & ~m));
+}
+
+/**
+ * The block of lanes from @p lane over entries [begin, end): every
+ * run of every entry, in stream order, performs AdaptiveController::
+ * doIdleRun's operation sequence. The controller's branches become
+ * blends, and each field gains exactly what the taken branch adds,
+ * or +0.0 — a no-op on the non-negative totals. The per-entry terms
+ * (the EWMA's weight * length, the timeout wait, and the transition
+ * and sleep of a short prediction) are computed once per entry with
+ * the controller's own expressions. The transition increment is
+ * short_tr + (sleep_now ? 1 - short_tr : 0) with short_tr 0 or 1:
+ * exactly 1.0 or short_tr, without a blend on a mask-or, which GCC
+ * lowers to scalar code.
+ */
+void
+adaptiveBlock(const IntervalSet &set, std::size_t begin,
+              std::size_t end, std::size_t lane,
+              const std::vector<double> &breakevens,
+              const std::vector<double> &weights,
+              std::vector<double> &predicted, AccumulatorBank &bank)
+{
+    constexpr std::size_t V = kAdaptiveBlockVecs;
+    // A partial last block repeats the last lane and drops the copy.
+    const std::size_t last = bank.lanes() - 1;
+    const AdaptiveVec zero = {};
+    const AdaptiveVec one = zero + 1.0;
+    AdaptiveVec be[V], w[V], keep[V], pred[V], ui[V], tr[V], sp[V];
+    for (std::size_t v = 0; v < V; ++v) {
+        for (std::size_t k = 0; k < kAdaptiveVecLanes; ++k) {
+            const std::size_t l =
+                std::min(lane + v * kAdaptiveVecLanes + k, last);
+            be[v][k] = breakevens[l];
+            w[v][k] = weights[l];
+            pred[v][k] = predicted[l];
+            ui[v][k] = bank.unctrl_idle[l];
+            tr[v][k] = bank.transitions[l];
+            sp[v][k] = bank.sleep[l];
+        }
+        keep[v] = one - w[v];
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+        const AdaptiveVec length = // broadcast: 0.0 + x == x
+            zero + static_cast<double>(set.lengths[i]);
+        AdaptiveVec newest[V], wait[V], short_tr[V], lift_tr[V],
+            short_sp[V];
+        for (std::size_t v = 0; v < V; ++v) {
+            newest[v] = w[v] * length;
+            // std::min(length, breakeven)
+            wait[v] = blend(be[v] < length, be[v], length);
+            const AdaptiveMask past = length > be[v];
+            short_tr[v] = blend(past, one, zero);
+            lift_tr[v] = one - short_tr[v];
+            short_sp[v] = blend(past, length - wait[v], zero);
+        }
+        for (std::uint64_t r = set.counts[i]; r > 0; --r) {
+            for (std::size_t v = 0; v < V; ++v) {
+                const AdaptiveMask sleep_now = pred[v] >= be[v];
+                ui[v] += blend(sleep_now, zero, wait[v]);
+                tr[v] += short_tr[v] + blend(sleep_now, lift_tr[v], zero);
+                sp[v] += blend(sleep_now, length, short_sp[v]);
+                pred[v] = newest[v] + keep[v] * pred[v];
+            }
+        }
+    }
+    for (std::size_t v = 0; v < V; ++v) {
+        for (std::size_t k = 0; k < kAdaptiveVecLanes; ++k) {
+            const std::size_t l = lane + v * kAdaptiveVecLanes + k;
+            if (l > last)
+                return;
+            predicted[l] = pred[v][k];
+            bank.unctrl_idle[l] = ui[v][k];
+            bank.transitions[l] = tr[v][k];
+            bank.sleep[l] = sp[v][k];
+        }
+    }
+}
+
+void
+runAdaptive(const std::vector<double> &breakevens,
+            const std::vector<double> &weights, const IntervalSet &set,
+            std::size_t begin, std::size_t end, AccumulatorBank &bank)
+{
+    std::vector<double> predicted;
+    for (double be : breakevens)
+        predicted.push_back(
+            sleep::AdaptiveController::initialPrediction(be));
+    for (std::size_t tile = begin; tile < end;
+         tile += kAdaptiveTileEntries) {
+        const std::size_t tile_end =
+            std::min(end, tile + kAdaptiveTileEntries);
+        for (std::size_t u = 0; u < bank.lanes();
+             u += kAdaptiveBlockLanes)
+            adaptiveBlock(set, tile, tile_end, u, breakevens, weights,
+                          predicted, bank);
+    }
+}
+
 } // namespace
 
 void
@@ -367,6 +500,9 @@ KernelBatch::run(const IntervalSet &set, std::size_t begin,
         return;
     case Kind::Oracle:
         runOracle(breakevens_, set, begin, end, bank);
+        return;
+    case Kind::Adaptive:
+        runAdaptive(breakevens_, ewma_weights_, set, begin, end, bank);
         return;
     case Kind::None:
         break;

@@ -1,17 +1,16 @@
 /**
  * @file
- * Closed-form batch replay kernels for history-free sleep policies.
+ * Batch replay kernels: one pass fills every lane of a policy kind.
  *
  * The replay engine's inner loop was one virtual idleRuns() dispatch
  * per (accumulator unit, distinct interval length). For a policy
- * with a KernelSpec, the per-interval contribution to CycleCounts is
- * a pure function of the interval length, so the whole replay over
- * the flattened IntervalSet arrays collapses into branch-regular
- * array kernels: one pass over the length/count arrays fills the
- * accumulators of *every* distinct configuration ("lane") of that
- * policy kind at once — the lanes a 20-point sweep's configuration
- * dedup could not collapse (per-point gradual slice counts, timeout
- * and oracle thresholds).
+ * with a KernelSpec, the whole replay over the flattened IntervalSet
+ * arrays collapses into branch-regular array kernels: one pass over
+ * the length/count arrays fills the accumulators of *every*
+ * distinct configuration ("lane") of that policy kind at once — the
+ * lanes a 20-point sweep's configuration dedup could not collapse
+ * (per-point gradual slice counts, timeout and oracle thresholds,
+ * adaptive breakevens).
  *
  * Accumulators live in a struct-of-arrays bank, so the per-interval
  * lane loop touches contiguous parallel arrays with no cross-lane
@@ -20,11 +19,23 @@
  * array — Timeout, Oracle — are instead partitioned once per lane
  * with a binary search and replayed as two branch-free range loops.
  *
+ * Adaptive is the one stateful kind: each lane carries its EWMA
+ * prediction from run to run, so its lanes cannot share a pass per
+ * interval. Its kernel walks the stream in tiles of stream entries,
+ * and within a tile small blocks of lanes hold their prediction and
+ * accumulators in locals and step every run of every entry, in
+ * stream order, with selects in place of the controller's branches.
+ * It reads no order property of the stream (no binary search, no
+ * skipping within an entry's count), so a time-ordered stream
+ * replays through it unchanged.
+ *
  * Bit-exactness contract: every kernel performs, per lane and per
  * accumulator field, the exact floating-point operation sequence of
- * the corresponding controller's doIdleRuns() calls in ascending
- * length order (the scalar path's order). Kernel results therefore
- * equal the virtual-dispatch path to the last bit — verified by
+ * the corresponding controller's doIdleRuns() calls in stream order
+ * (the scalar path's order) — for Adaptive, doIdleRun() once per
+ * run, where a select that leaves a field unchanged adds +0.0 to a
+ * non-negative total. Kernel results therefore equal the
+ * virtual-dispatch path to the last bit — verified by
  * test_replay_kernels across randomized interval sets — and the
  * engine needs no equivalence flag for the unchunked kernel path.
  */
@@ -81,7 +92,7 @@ class KernelBatch
     std::size_t lanes() const { return lanes_; }
 
     /**
-     * Append one configuration; @p spec must be history-free and of
+     * Append one configuration; @p spec must have a kernel and be of
      * this batch's kind. @return the new lane index.
      */
     std::size_t addLane(const sleep::KernelSpec &spec);
@@ -90,8 +101,10 @@ class KernelBatch
      * Accumulate interval-array indices [begin, end) of @p set into
      * @p bank (+= semantics; bank lanes parallel this batch's
      * lanes), preceded by the activeRun prefix when @p with_active.
-     * Bit-exact to replaying the same range through this kind's
-     * controller via activeRun()/idleRuns() in ascending order.
+     * Bit-exact to replaying the same range through a fresh
+     * controller of this kind via activeRun()/idleRuns() in array
+     * order — so Adaptive, whose prediction starts fresh here,
+     * matches only a whole-stream replay.
      */
     void run(const IntervalSet &set, std::size_t begin,
              std::size_t end, bool with_active,
@@ -110,7 +123,9 @@ class KernelBatch
     std::vector<double> grad_ui_;
     double grad_max_n_ = 0.0;        ///< max slice count over lanes
     std::vector<Cycle> timeouts_;    ///< Timeout thresholds
-    std::vector<double> breakevens_; ///< Oracle thresholds
+    /** Oracle thresholds, or Adaptive breakevens. */
+    std::vector<double> breakevens_;
+    std::vector<double> ewma_weights_; ///< Adaptive EWMA weights
     /** WeightedGradual per-lane weights + asleep-after prefix sums
      * (recomputed with the controller constructor's arithmetic). */
     std::vector<std::vector<double>> weight_sets_;

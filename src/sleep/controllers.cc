@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -261,12 +262,18 @@ OracleController::doIdleRuns(Cycle len, std::uint64_t count)
 AdaptiveController::AdaptiveController(double breakeven,
                                        double ewma_weight)
     : breakeven_(breakeven), weight_(ewma_weight),
-      predicted_(breakeven)
+      predicted_(initialPrediction(breakeven))
 {
     if (weight_ <= 0.0 || weight_ > 1.0)
         throw std::invalid_argument(
             "AdaptiveController: EWMA weight " +
             std::to_string(weight_) + " outside (0,1]");
+}
+
+double
+AdaptiveController::initialPrediction(double breakeven)
+{
+    return std::min(breakeven, std::numeric_limits<double>::max());
 }
 
 void
@@ -293,7 +300,7 @@ void
 AdaptiveController::reset()
 {
     SleepController::reset();
-    predicted_ = breakeven_;
+    predicted_ = initialPrediction(breakeven_);
 }
 
 } // namespace lsim::sleep

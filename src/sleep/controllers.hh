@@ -118,12 +118,11 @@ class SleepController
 
     /**
      * Self-classification for batch replay (see kernel_spec.hh):
-     * history-free policies report their closed-form parameters so
-     * the replay engine can deduplicate, shard, and kernelize them.
-     * The default — kept by history-dependent policies and any
-     * external registration that does not opt in — reports
-     * Kind::None, which routes the policy onto the virtual-dispatch
-     * fallback path.
+     * built-in policies report their kernel parameters so the
+     * replay engine can deduplicate and kernelize them (and shard
+     * the history-free ones). The default — kept by any external
+     * registration that does not opt in — reports Kind::None, which
+     * routes the policy onto the virtual-dispatch fallback path.
      */
     virtual KernelSpec kernelSpec() const { return {}; }
 
@@ -389,9 +388,26 @@ class AdaptiveController : public SleepController
     std::string name() const override { return "Adaptive"; }
     void reset() override;
 
+    KernelSpec kernelSpec() const override
+    {
+        KernelSpec spec;
+        spec.kind = KernelSpec::Kind::Adaptive;
+        spec.breakeven = breakeven_;
+        spec.ewma_weight = weight_;
+        return spec;
+    }
+
+    /**
+     * The prediction before any interval: the breakeven, clamped to
+     * the largest finite double. An infinite breakeven (sleep never
+     * pays off) is then never predicted, so the policy idles
+     * uncontrolled like AlwaysActive instead of sleeping on every
+     * interval.
+     */
+    static double initialPrediction(double breakeven);
+
     double prediction() const { return predicted_; }
     double ewmaWeight() const { return weight_; }
-    double breakeven() const { return breakeven_; }
 
   protected:
     void doIdleRun(Cycle len) override;

@@ -40,6 +40,12 @@ KernelSpec::key() const
         std::snprintf(buf, sizeof(buf), "%a", breakeven);
         return "oracle:" + std::string(buf);
     }
+    case Kind::Adaptive: {
+        char buf[80];
+        std::snprintf(buf, sizeof(buf), "adaptive:%a,%a", breakeven,
+                      ewma_weight);
+        return buf;
+    }
     }
     fatal("KernelSpec::key: bad kind %d", static_cast<int>(kind));
 }
@@ -63,6 +69,9 @@ KernelSpec::makeController() const
         return std::make_unique<TimeoutController>(timeout);
     case Kind::Oracle:
         return std::make_unique<OracleController>(breakeven);
+    case Kind::Adaptive:
+        return std::make_unique<AdaptiveController>(breakeven,
+                                                    ewma_weight);
     case Kind::None:
         break;
     }

@@ -6,9 +6,9 @@
  * pure function of each idle interval's length, fully determined by
  * a handful of closed-form parameters (slice schedule, timeout,
  * breakeven threshold). KernelSpec is a controller's own statement
- * of those parameters: every built-in history-free controller
- * overrides SleepController::kernelSpec() to describe itself, so
- * the replay engine can
+ * of those parameters: every built-in controller overrides
+ * SleepController::kernelSpec() to describe itself, so the replay
+ * engine can
  *
  *  - deduplicate accumulators structurally (two controllers with
  *    equal specs accumulate bit-identical counts),
@@ -18,7 +18,11 @@
  *  - reconstruct fresh controller instances for chunk-sharded
  *    replay without dynamic_cast chains.
  *
- * History-dependent policies (Adaptive) and externally registered
+ * Adaptive is the one built-in policy with history: its EWMA
+ * prediction carries from one idle run to the next. Its spec
+ * (breakeven plus EWMA weight) still identifies the configuration
+ * and has a batch kernel, but the policy is not historyFree(): its
+ * stream is never sharded into chunks. Externally registered
  * controllers that do not override kernelSpec() report Kind::None
  * and transparently take the virtual-dispatch fallback path — the
  * registry remains the single source of policy truth, and an
@@ -41,7 +45,7 @@ namespace lsim::sleep
 class SleepController;
 
 /**
- * Closed-form parameters of a history-free policy, as reported by
+ * Kernel parameters of a policy, as reported by
  * SleepController::kernelSpec(). Only the fields of the reported
  * kind are meaningful; the rest stay value-initialized so the
  * defaulted equality compares whole configurations.
@@ -58,16 +62,28 @@ struct KernelSpec
         WeightedGradual, ///< unequal slices; uses `weights`
         Timeout,         ///< sleep past a timeout; uses `timeout`
         Oracle,          ///< sleep iff len >= threshold; uses `breakeven`
+        Adaptive,        ///< EWMA predictor; `breakeven`, `ewma_weight`
     };
 
     Kind kind = Kind::None;
     unsigned slices = 0;          ///< Gradual slice count (>= 1)
     Cycle timeout = 0;            ///< Timeout threshold, cycles
-    double breakeven = 0.0;       ///< Oracle threshold, cycles
+    double breakeven = 0.0;       ///< Oracle/Adaptive breakeven, cycles
+    double ewma_weight = 0.0;     ///< Adaptive: newest interval's weight
     std::vector<double> weights;  ///< WeightedGradual slice fractions
 
-    /** True when a batch kernel (and chunk sharding) applies. */
-    bool historyFree() const { return kind != Kind::None; }
+    /**
+     * True when each interval's accounting is a closed form of its
+     * length alone, so the interval stream may be sharded into
+     * chunks. False for Adaptive, whose prediction is history.
+     */
+    bool historyFree() const
+    {
+        return kind != Kind::None && kind != Kind::Adaptive;
+    }
+
+    /** True when a batch kernel replays this configuration. */
+    bool hasKernel() const { return kind != Kind::None; }
 
     bool operator==(const KernelSpec &) const = default;
 

@@ -98,8 +98,8 @@ parseWeights(const std::string &key, const std::string &arg)
 
 PolicyRegistry::PolicyRegistry()
 {
-    // History-free built-ins register their closed form (SpecFn):
-    // the registry derives controllers from the spec, and the replay
+    // Built-ins register their kernel parameters (SpecFn): the
+    // registry derives controllers from the spec, and the replay
     // engine classifies (point, policy) configurations without
     // constructing one controller per technology point.
     add("always-active", "never asserts Sleep (all idle uncontrolled)",
@@ -166,12 +166,15 @@ PolicyRegistry::PolicyRegistry()
     add("adaptive",
         "EWMA interval predictor; default weight 0.25, or "
         "adaptive:<weight>",
-        [](const energy::ModelParams &params, const std::string &arg) {
-            const double w =
+        SpecFn([](const energy::ModelParams &params,
+                  const std::string &arg) {
+            KernelSpec spec;
+            spec.kind = KernelSpec::Kind::Adaptive;
+            spec.breakeven = energy::breakevenInterval(params);
+            spec.ewma_weight =
                 arg.empty() ? 0.25 : parseFraction("adaptive", arg);
-            return std::make_unique<AdaptiveController>(
-                energy::breakevenInterval(params), w);
-        });
+            return spec;
+        }));
 }
 
 PolicyRegistry &

@@ -44,8 +44,8 @@ class PolicyRegistry
         const energy::ModelParams &params, const std::string &arg)>;
 
     /**
-     * History-free policies may register a spec function instead of
-     * a factory: it computes the policy's closed-form KernelSpec at
+     * Policies with a batch kernel may register a spec function
+     * instead of a factory: it computes the policy's KernelSpec at
      * a technology point without constructing a controller, and the
      * registry derives the factory as spec(params, arg)
      * .makeController(). This lets the replay engine classify and
@@ -77,7 +77,7 @@ class PolicyRegistry
          * The policy's KernelSpec at @p params, when it was
          * registered through a SpecFn — allocation-free
          * classification for the replay engine. Kind::None for
-         * factory-registered (history-dependent/unknown) policies.
+         * factory-registered policies.
          */
         KernelSpec trySpec(const energy::ModelParams &params) const
         {
@@ -114,7 +114,7 @@ class PolicyRegistry
     void add(const std::string &key, const std::string &summary,
              Factory factory);
 
-    /** Register a history-free policy through its SpecFn. */
+    /** Register a policy with a batch kernel through its SpecFn. */
     void add(const std::string &key, const std::string &summary,
              SpecFn spec);
 

@@ -3,13 +3,17 @@
  * Exact binary serialization of simulation results.
  *
  * The paper's central observation makes a completed timing
- * simulation's IdleProfile a *sufficient statistic*: every sleep
- * policy's energy accounting at every technology point is a pure
- * function of it. Persisting that statistic therefore lets unlimited
- * future sweeps replay a simulation that ran once, possibly in a
- * different process — but only if the round trip is *bit-exact*,
- * because sweeps promise bit-identical results regardless of where
- * the phase-1 data came from.
+ * simulation's IdleProfile a *sufficient statistic* for every
+ * history-free sleep policy: its energy accounting at every
+ * technology point is a pure function of the interval multiset.
+ * It is not sufficient for a history-dependent policy such as
+ * adaptive, whose EWMA needs each FU's idle runs in time order; the
+ * profile holds no order, so replay feeds adaptive the lengths in
+ * ascending order instead (ROADMAP item 1). Persisting the profile
+ * lets unlimited future sweeps replay a simulation that ran once,
+ * possibly in a different process — but only if the round trip is
+ * *bit-exact*, because sweeps promise bit-identical results
+ * regardless of where the phase-1 data came from.
  *
  * Hence this format:
  *  - integers are fixed-width little-endian;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -270,6 +272,30 @@ TEST(Adaptive, TimesOutWhenPredictingShort)
     EXPECT_DOUBLE_EQ(c.counts().sleep, 2.0 + 20.0);
     c.reset();
     EXPECT_DOUBLE_EQ(c.prediction(), 10.0);
+}
+
+TEST(Adaptive, InfiniteBreakevenNeverSleeps)
+{
+    // breakevenInterval is +inf at p = 0, alpha = 1 or k >= 1. A
+    // finite prediction can never reach it, so the policy must idle
+    // uncontrolled like AlwaysActive — it used to start predicting
+    // +inf and sleep (paying a transition) on every interval.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double weight : {0.25, 1.0}) {
+        AdaptiveController c(inf, weight);
+        AlwaysActiveController aa;
+        for (Cycle len :
+             {Cycle{1}, Cycle{5000}, Cycle{3}, Cycle{1} << 20}) {
+            c.idleRun(len);
+            aa.idleRun(len);
+        }
+        EXPECT_EQ(c.counts().transitions, 0.0);
+        EXPECT_EQ(c.counts().sleep, 0.0);
+        EXPECT_EQ(c.counts().unctrl_idle, aa.counts().unctrl_idle);
+        EXPECT_TRUE(std::isfinite(c.prediction()));
+        c.reset();
+        EXPECT_TRUE(std::isfinite(c.prediction()));
+    }
 }
 
 TEST(Adaptive, BadWeightRejected)

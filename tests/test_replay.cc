@@ -15,6 +15,7 @@
 #include "api/parallel.hh"
 #include "api/sweep.hh"
 #include "harness/experiment.hh"
+#include "obs/metrics.hh"
 #include "replay/engine.hh"
 #include "sleep/policy_registry.hh"
 
@@ -303,6 +304,66 @@ TEST(SweepRunner, ChunkedSweepStaysWithinTolerance)
     ASSERT_EQ(ref.cells.size(), shard.cells.size());
     for (std::size_t i = 0; i < ref.cells.size(); ++i)
         expectNear(shard.cells[i].policies, ref.cells[i].policies);
+}
+
+TEST(MultiPointReplay, AdaptiveIdlesUncontrolledAtInfiniteBreakeven)
+{
+    // At p = 0 (or alpha = 1) sleep never pays off: the breakeven is
+    // infinite, no finite prediction reaches it, and adaptive must
+    // account exactly like always-active on both replay paths (it
+    // used to sleep on every interval, like max-sleep).
+    const std::vector<ModelParams> points = {api::analysisPoint(0.0),
+                                             api::analysisPoint(0.3, 1.0)};
+    const std::vector<std::string> specs = {"always-active", "adaptive",
+                                            "adaptive:1"};
+    for (const bool kernels : {true, false}) {
+        SCOPED_TRACE(kernels ? "kernels" : "virtual");
+        replay::ReplayOptions options;
+        options.use_kernels = kernels;
+        const auto results = replay::replayProfile(
+            syntheticProfile(), points, specs, options);
+        for (const auto &at_point : results) {
+            const sleep::PolicyResult &always = at_point[0];
+            for (std::size_t k = 1; k < specs.size(); ++k) {
+                SCOPED_TRACE(specs[k]);
+                EXPECT_EQ(at_point[k].counts.unctrl_idle,
+                          always.counts.unctrl_idle);
+                EXPECT_EQ(at_point[k].counts.sleep, 0.0);
+                EXPECT_EQ(at_point[k].counts.transitions, 0.0);
+                EXPECT_EQ(at_point[k].energy, always.energy);
+            }
+        }
+    }
+}
+
+TEST(ReplayDriver, StageHistogramsCountOncePerRun)
+{
+    // The driver times build, run and finalize on the process-wide
+    // registry, which other tests share: compare deltas.
+    const char *const names[] = {"replay.build_ms", "replay.run_ms",
+                                 "replay.finalize_ms"};
+    std::uint64_t before[3];
+    for (std::size_t i = 0; i < 3; ++i)
+        before[i] = obs::histogram(names[i]).count();
+
+    api::SweepConfig cfg;
+    api::SweepResult result;
+    result.workloads = {"synthetic"};
+    result.technologies = api::pSweep(0.05, 1.0, 3);
+    result.policy_keys = {"max-sleep", "adaptive"};
+    harness::WorkloadSim sim;
+    sim.name = "synthetic";
+    sim.idle = syntheticProfile();
+    result.sims.push_back(std::move(sim));
+    result.cells.resize(result.technologies.size());
+    for (std::uint64_t run = 1; run <= 2; ++run) {
+        api::detail::ReplayDriver driver;
+        driver.add(result, cfg);
+        driver.run(1);
+        for (std::size_t i = 0; i < 3; ++i)
+            EXPECT_EQ(obs::histogram(names[i]).count(), before[i] + run)
+                << names[i];
+    }
 }
 
 TEST(Session, MultiPointEvaluationMatchesSinglePoint)

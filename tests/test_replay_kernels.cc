@@ -3,13 +3,16 @@
  * Property tests for the batched replay kernels: across randomized
  * interval multisets, the kernel path must be bit-identical — not
  * merely close — to the virtual-dispatch controllers for every
- * registry policy spec, including argument variants; unknown and
- * history-dependent policies must transparently fall back; and a
- * moved-from engine must refuse to replay.
+ * registry policy spec, including argument variants; the Adaptive
+ * kernel must also match its controller on a stream in no
+ * particular order; unknown policies must transparently fall back;
+ * and a moved-from engine must refuse to replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <random>
 #include <set>
 #include <utility>
@@ -20,6 +23,7 @@
 #include "energy/breakeven.hh"
 #include "harness/experiment.hh"
 #include "replay/engine.hh"
+#include "replay/kernels.hh"
 #include "sleep/controllers.hh"
 #include "sleep/kernel_spec.hh"
 #include "sleep/policy_registry.hh"
@@ -40,36 +44,27 @@ allPolicySpecs()
     specs.push_back("timeout:1");
     specs.push_back("timeout:64");
     specs.push_back("adaptive:0.5");
+    specs.push_back("adaptive:1");
     specs.push_back("weighted-gradual:0.5,0.3,0.2");
     return specs;
 }
 
-/**
- * allPolicySpecs() minus adaptive: the history-dependent policy
- * takes the identical fallback code in both engine modes (covered
- * by the fallback and scalar tests), and its O(total intervals)
- * per-interval replay would dominate the randomized sweep for zero
- * kernel coverage.
- */
-std::vector<std::string>
-kernelPolicySpecs()
-{
-    std::vector<std::string> specs;
-    for (auto &spec : allPolicySpecs())
-        if (spec.rfind("adaptive", 0) != 0)
-            specs.push_back(std::move(spec));
-    return specs;
-}
-
-/** Points spanning small and large breakeven intervals. */
+/** Points spanning small, large and infinite (p = 0) breakeven
+ * intervals. */
 std::vector<ModelParams>
 somePoints()
 {
     auto points = api::pSweep(0.05, 1.0, 5);
     points.push_back(api::analysisPoint(0.3, 0.25));
     points.push_back(api::analysisPoint(0.7, 0.9));
+    points.push_back(api::analysisPoint(0.0));
     return points;
 }
+
+/** The seven policies of perfbench's warm_grid workload. */
+const std::vector<std::string> kWarmGridPolicies = {
+    "max-sleep", "gradual", "always-active", "no-overhead",
+    "timeout:64", "oracle", "adaptive"};
 
 void
 expectBitExact(const std::vector<sleep::PolicyResult> &a,
@@ -116,17 +111,19 @@ expectKernelMatchesVirtual(const harness::IdleProfile &idle,
  * runs, mid-range, log-uniform tails) plus values straddling the
  * breakeven-derived thresholds of the points under test, so the
  * timeout/oracle partition points and the gradual saturation
- * boundary all land inside the array.
+ * boundary all land inside the array. Counts are drawn from
+ * [1, max_count].
  */
 harness::IdleProfile
 randomProfile(std::uint64_t seed,
-              const std::vector<ModelParams> &points)
+              const std::vector<ModelParams> &points,
+              std::uint64_t max_count = 1'000'000)
 {
     std::mt19937_64 rng(seed);
     std::uniform_int_distribution<Cycle> shortlen(1, 50);
     std::uniform_int_distribution<Cycle> midlen(51, 4000);
     std::uniform_real_distribution<double> logtail(2.0, 17.0);
-    std::uniform_int_distribution<std::uint64_t> cnt(1, 1'000'000);
+    std::uniform_int_distribution<std::uint64_t> cnt(1, max_count);
     std::uniform_int_distribution<int> coin(0, 3);
 
     std::set<Cycle> lengths;
@@ -173,12 +170,62 @@ randomProfile(std::uint64_t seed,
 
 TEST(ReplayKernels, RandomizedSetsMatchVirtualBitExactly)
 {
+    // Counts are capped: adaptive steps through every run, one at a
+    // time, on both paths.
     const auto points = somePoints();
-    const auto specs = kernelPolicySpecs();
+    const auto specs = allPolicySpecs();
     for (std::uint64_t seed = 1; seed <= 25; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        expectKernelMatchesVirtual(randomProfile(seed, points),
+        expectKernelMatchesVirtual(randomProfile(seed, points, 2000),
                                    points, specs);
+    }
+}
+
+TEST(ReplayKernels, AdaptiveMatchesControllerInAnyStreamOrder)
+{
+    // The Adaptive kernel reads no order property of the stream: on
+    // lengths in shuffled order (the shape of a time-ordered stream)
+    // every lane must equal an AdaptiveController fed the same runs
+    // in the same order. Seven lanes leave a partial lane block, and
+    // 3,000 entries span three tiles.
+    std::mt19937_64 rng(2202);
+    std::uniform_int_distribution<Cycle> len(1, 300);
+    std::uniform_int_distribution<std::uint64_t> cnt(1, 4);
+    replay::IntervalSet set;
+    set.active_cycles = 123'457;
+    for (int i = 0; i < 3000; ++i) {
+        set.lengths.push_back(len(rng));
+        set.counts.push_back(i % 5 == 0 ? cnt(rng) : 1);
+        set.idle_cycles += set.lengths.back() * set.counts.back();
+    }
+    ASSERT_FALSE(std::is_sorted(set.lengths.begin(), set.lengths.end()));
+
+    const std::pair<double, double> configs[] = {
+        {2.5, 0.25}, {17.3, 0.25}, {40.0, 0.5}, {99.9, 1.0},
+        {250.0, 0.1}, {1e6, 0.25},
+        {std::numeric_limits<double>::infinity(), 0.25}};
+    replay::kernels::KernelBatch batch(sleep::KernelSpec::Kind::Adaptive);
+    std::vector<sleep::AdaptiveController> controllers;
+    for (const auto &[breakeven, weight] : configs) {
+        batch.addLane(sleep::AdaptiveController(breakeven, weight)
+                          .kernelSpec());
+        controllers.emplace_back(breakeven, weight);
+    }
+    replay::kernels::AccumulatorBank bank;
+    bank.resize(batch.lanes());
+    batch.run(set, 0, set.numDistinct(), true, bank);
+
+    for (std::size_t lane = 0; lane < controllers.size(); ++lane) {
+        SCOPED_TRACE("lane " + std::to_string(lane));
+        sleep::AdaptiveController &ctrl = controllers[lane];
+        ctrl.activeRun(set.active_cycles);
+        for (std::size_t i = 0; i < set.numDistinct(); ++i)
+            ctrl.idleRuns(set.lengths[i], set.counts[i]);
+        const energy::CycleCounts got = bank.counts(lane);
+        EXPECT_EQ(got.active, ctrl.counts().active);
+        EXPECT_EQ(got.unctrl_idle, ctrl.counts().unctrl_idle);
+        EXPECT_EQ(got.sleep, ctrl.counts().sleep);
+        EXPECT_EQ(got.transitions, ctrl.counts().transitions);
     }
 }
 
@@ -270,7 +317,20 @@ class OpaqueController : public sleep::SleepController
     }
 };
 
-TEST(ReplayKernels, UnknownAndHistoryPoliciesFallBack)
+TEST(ReplayKernels, WarmGridPoliciesFullyKernelize)
+{
+    const auto points = api::pSweep(0.05, 1.0, 34);
+    const auto idle = randomProfile(9, points);
+    replay::MultiPointReplay engine(
+        replay::IntervalSet::fromProfile(idle), points,
+        kWarmGridPolicies);
+    EXPECT_EQ(engine.numKernelUnits(), engine.numUnits());
+    // Six history-free groups, plus 34 adaptive lanes in groups of
+    // up to eight: one whole-stream task each.
+    EXPECT_EQ(engine.numKernelGroups(), 6u + 5u);
+}
+
+TEST(ReplayKernels, OnlyUnknownPoliciesFallBack)
 {
     sleep::PolicyRegistry::instance().add(
         "opaque-test", "unclassified test policy",
@@ -286,14 +346,15 @@ TEST(ReplayKernels, UnknownAndHistoryPoliciesFallBack)
     replay::MultiPointReplay engine(
         replay::IntervalSet::fromProfile(idle), points, specs);
 
-    // Only max-sleep kernelizes (one deduplicated unit in one
-    // group); the unclassified policy cannot dedup across points.
-    EXPECT_EQ(engine.numKernelGroups(), 1u);
-    EXPECT_EQ(engine.numKernelUnits(), 1u);
-    EXPECT_GE(engine.numUnits(), 1u + 1u + points.size());
+    // max-sleep (one deduplicated unit) and adaptive (one lane per
+    // point) kernelize; the unclassified policy cannot dedup across
+    // points and falls back, one unit per point.
+    EXPECT_EQ(engine.numKernelGroups(), 2u);
+    EXPECT_EQ(engine.numKernelUnits(), 1u + points.size());
+    EXPECT_EQ(engine.numUnits(), 1u + 2u * points.size());
 
-    // And the fallback path still reproduces the scalar results bit
-    // for bit, adaptive's interval-order history included.
+    // And both paths reproduce the scalar results bit for bit,
+    // adaptive's interval-order history included.
     engine.runAll();
     const auto results = engine.finalize();
     for (std::size_t t = 0; t < points.size(); ++t) {
@@ -305,26 +366,28 @@ TEST(ReplayKernels, UnknownAndHistoryPoliciesFallBack)
 
 TEST(ReplayKernels, KernelSpecRoundTripsThroughControllers)
 {
-    // Every built-in history-free controller's self-classification
-    // reconstructs an equivalent controller.
+    // Every built-in controller's self-classification reconstructs
+    // an equivalent controller.
     const auto mp = api::analysisPoint(0.2);
     const auto &registry = sleep::PolicyRegistry::instance();
     for (const char *spec :
          {"always-active", "max-sleep", "no-overhead", "gradual:9",
-          "weighted-gradual:0.5,0.25,0.25", "timeout:42", "oracle"}) {
+          "weighted-gradual:0.5,0.25,0.25", "timeout:42", "oracle",
+          "adaptive", "adaptive:0.5"}) {
         SCOPED_TRACE(spec);
         const auto ctrl = registry.make(spec, mp);
         const auto kspec = ctrl->kernelSpec();
-        ASSERT_TRUE(kspec.historyFree());
+        ASSERT_TRUE(kspec.hasKernel());
         const auto rebuilt = kspec.makeController();
         EXPECT_EQ(rebuilt->name(), ctrl->name());
         EXPECT_TRUE(rebuilt->kernelSpec() == kspec);
     }
-    // History-dependent and base-class defaults classify as None.
+    // Adaptive has a kernel but carries history, so it never
+    // shards; the base-class default classifies as None.
     EXPECT_FALSE(registry.make("adaptive", mp)
                      ->kernelSpec()
                      .historyFree());
-    EXPECT_FALSE(OpaqueController().kernelSpec().historyFree());
+    EXPECT_FALSE(OpaqueController().kernelSpec().hasKernel());
 }
 
 TEST(ReplayKernels, MovedFromEngineRefusesToReplay)
