@@ -35,6 +35,11 @@
  *     instructions per second) of mcf, health, gcc and vortex at
  *     their Table 3 FU counts, 50k instructions, median of 5 runs.
  *     Reported and recorded; not gated.
+ *  6. Render — one serial SweepResult::toCsv() and toJson() of a
+ *     sweep shaped like one of perfbench's warm_grid sweeps (the
+ *     nine Table 3 benchmarks x 34 points x its seven policies, at
+ *     insts), median of kRenderReps; the sweep itself is set-up,
+ *     off the clock. Reported and recorded; not gated.
  *
  * Emits BENCH_replay.json for the perf-regression trajectory
  * (tools/bench_trend.py diffs these across runs) and prints tables.
@@ -506,6 +511,59 @@ measureCore(std::uint64_t seed)
     return out;
 }
 
+struct RenderResult
+{
+    std::size_t csv_bytes = 0;
+    std::size_t json_bytes = 0;
+    double csv_ms = 0.0;  ///< median over kRenderReps renders
+    double json_ms = 0.0; ///< median over kRenderReps renders
+};
+
+constexpr int kRenderReps = 9;
+
+/** @p bytes rendered in @p ms, as MB/s. */
+double
+mbPerS(std::size_t bytes, double ms)
+{
+    return ms > 0.0 ? static_cast<double>(bytes) / 1e3 / ms : 0.0;
+}
+
+/** Serial CSV and JSON render time of one warm_grid-shaped sweep
+ * (see the file comment, dimension 6). */
+RenderResult
+measureRender(std::uint64_t insts, std::uint64_t seed)
+{
+    api::SweepConfig cfg;
+    cfg.technologies = api::pSweep(0.05, 1.0, 34);
+    cfg.policies = {"max-sleep",  "gradual", "always-active",
+                    "no-overhead", "timeout:64", "oracle",
+                    "adaptive"};
+    cfg.insts = insts;
+    cfg.seed = seed;
+    const api::SweepResult sweep = api::SweepRunner(cfg).run();
+
+    RenderResult out;
+    std::vector<double> csv_ms, json_ms;
+    const auto elapsedMs = [](auto &&render) {
+        const auto start = std::chrono::steady_clock::now();
+        render();
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    for (int rep = 0; rep < kRenderReps; ++rep) {
+        csv_ms.push_back(elapsedMs(
+            [&] { out.csv_bytes = sweep.toCsv().size(); }));
+        json_ms.push_back(elapsedMs(
+            [&] { out.json_bytes = sweep.toJson().size(); }));
+    }
+    std::sort(csv_ms.begin(), csv_ms.end());
+    std::sort(json_ms.begin(), json_ms.end());
+    out.csv_ms = csv_ms[kRenderReps / 2];
+    out.json_ms = json_ms[kRenderReps / 2];
+    return out;
+}
+
 } // namespace
 
 int
@@ -566,6 +624,7 @@ main(int argc, char **argv)
         measureThreaded(syntheticProfile(kShardedDistinct));
     const ServeResult served = measureServe(opts.insts, opts.seed);
     const std::vector<CoreResult> core = measureCore(opts.seed);
+    const RenderResult render = measureRender(opts.insts, opts.seed);
     double best_threaded = 0.0;
     for (const auto &t : threaded)
         if (t.threads > 1)
@@ -611,6 +670,19 @@ main(int argc, char **argv)
     std::cout << "\nO3 core (" << kCoreInsts
               << " instructions, median of " << kCoreReps << "):\n";
     tcore.print(std::cout);
+
+    Table trender({"output", "bytes", "ms", "MB/s"});
+    trender.addRow({"csv", std::to_string(render.csv_bytes),
+                    fixed(render.csv_ms, 3),
+                    fixed(mbPerS(render.csv_bytes, render.csv_ms), 1)});
+    trender.addRow(
+        {"json", std::to_string(render.json_bytes),
+         fixed(render.json_ms, 3),
+         fixed(mbPerS(render.json_bytes, render.json_ms), 1)});
+    std::cout << "\nSweep render (9 benchmarks x 34 points x 7 "
+                 "policies, serial, median of "
+              << kRenderReps << "):\n";
+    trender.print(std::cout);
 
     std::cout << "\nReference grid (" << kReferencePoints
               << " points x " << sims.size()
@@ -697,6 +769,18 @@ main(int argc, char **argv)
             w.endObject();
         }
         w.endArray();
+        w.endObject();
+        // Report-only: no gate reads this block.
+        w.beginObject("render");
+        w.field("reps", static_cast<std::uint64_t>(kRenderReps));
+        w.field("csv_bytes", static_cast<std::uint64_t>(render.csv_bytes));
+        w.field("json_bytes",
+                static_cast<std::uint64_t>(render.json_bytes));
+        w.field("csv_ms", render.csv_ms);
+        w.field("json_ms", render.json_ms);
+        w.field("csv_mb_per_s", mbPerS(render.csv_bytes, render.csv_ms));
+        w.field("json_mb_per_s",
+                mbPerS(render.json_bytes, render.json_ms));
         w.endObject();
         w.beginObject("reference");
         w.field("points",

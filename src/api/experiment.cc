@@ -1,6 +1,6 @@
 #include "api/experiment.hh"
 
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "circuit/fu_circuit.hh"
@@ -42,21 +42,29 @@ detail::writePolicyCsvHeader(CsvWriter &csv)
 
 void
 detail::writePolicyCsvRows(
-    CsvWriter &csv, const std::string &benchmark,
+    CsvWriter &csv, std::string_view benchmark,
     const std::vector<std::string> &policy_keys,
     const std::vector<sleep::PolicyResult> &policies,
     const energy::ModelParams &params)
 {
+    // Every row of a cell repeats its point's p,alpha,k,s cells.
+    std::string point;
+    for (const double v : {params.p, params.alpha, params.k, params.s}) {
+        if (!point.empty())
+            point += ',';
+        appendNumber(point, v);
+    }
     for (std::size_t i = 0; i < policies.size(); ++i) {
         const auto &r = policies[i];
-        csv.writeRow({benchmark,
-                      i < policy_keys.size() ? policy_keys[i] : "",
-                      r.name, compactNumber(params.p),
-                      compactNumber(params.alpha),
-                      compactNumber(params.k), compactNumber(params.s),
-                      compactNumber(r.energy),
-                      compactNumber(r.relative_to_base),
-                      compactNumber(r.leakage_fraction)});
+        csv.cell(benchmark);
+        csv.cell(i < policy_keys.size() ? std::string_view(policy_keys[i])
+                                        : std::string_view());
+        csv.cell(r.name);
+        csv.cells(point);
+        csv.cell(r.energy);
+        csv.cell(r.relative_to_base);
+        csv.cell(r.leakage_fraction);
+        csv.endRow();
     }
 }
 
@@ -72,41 +80,41 @@ RunResult::policy(const std::string &name) const
                                 "' in this result");
 }
 
-void
-RunResult::writeJson(std::ostream &os) const
+std::string
+RunResult::toJson() const
 {
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     harness::writeTechnologyJson(w, technology);
     harness::writeSimJson(w, sim);
     harness::writePoliciesJson(w, policies);
     w.endObject();
-    os << "\n";
-}
-
-void
-RunResult::writeCsv(std::ostream &os) const
-{
-    CsvWriter csv(os);
-    detail::writePolicyCsvHeader(csv);
-    detail::writePolicyCsvRows(csv, sim.name, policy_keys, policies,
-                               technology);
-}
-
-std::string
-RunResult::toJson() const
-{
-    std::ostringstream ss;
-    writeJson(ss);
-    return ss.str();
+    out += '\n';
+    return out;
 }
 
 std::string
 RunResult::toCsv() const
 {
-    std::ostringstream ss;
-    writeCsv(ss);
-    return ss.str();
+    std::string out;
+    CsvWriter csv(out);
+    detail::writePolicyCsvHeader(csv);
+    detail::writePolicyCsvRows(csv, sim.name, policy_keys, policies,
+                               technology);
+    return out;
+}
+
+void
+RunResult::writeJson(std::ostream &os) const
+{
+    os << toJson();
+}
+
+void
+RunResult::writeCsv(std::ostream &os) const
+{
+    os << toCsv();
 }
 
 std::vector<sleep::PolicyResult>

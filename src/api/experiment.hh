@@ -34,6 +34,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cpu/config.hh"
@@ -97,19 +98,20 @@ struct RunResult
      * Serialize as one JSON object: {technology, simulation,
      * policies}, the simulation and policies in the
      * harness::writeSimJson / writePoliciesJson schema that
-     * SweepResult::writeJson shares.
+     * SweepResult::toJson shares.
      */
-    void writeJson(std::ostream &os) const;
+    std::string toJson() const;
 
     /**
      * Serialize the policy results as CSV rows
      * (benchmark,policy_key,policy,p,alpha,k,s,energy,
      *  relative_to_base,leakage_fraction) with a header row.
      */
-    void writeCsv(std::ostream &os) const;
-
-    std::string toJson() const;
     std::string toCsv() const;
+
+    /** toJson() / toCsv() written to @p os. */
+    void writeJson(std::ostream &os) const;
+    void writeCsv(std::ostream &os) const;
 };
 
 /**
@@ -270,12 +272,12 @@ namespace detail
 {
 
 /**
- * Shared CSV schema for policy rows — RunResult::writeCsv and
- * SweepResult::writeCsv both emit it, so the column set has one
+ * Shared CSV schema for policy rows — RunResult::toCsv and
+ * SweepResult::toCsv both emit it, so the column set has one
  * definition.
  */
 void writePolicyCsvHeader(CsvWriter &csv);
-void writePolicyCsvRows(CsvWriter &csv, const std::string &benchmark,
+void writePolicyCsvRows(CsvWriter &csv, std::string_view benchmark,
                         const std::vector<std::string> &policy_keys,
                         const std::vector<sleep::PolicyResult> &policies,
                         const energy::ModelParams &params);

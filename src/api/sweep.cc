@@ -1,5 +1,6 @@
 #include "api/sweep.hh"
 
+#include <ostream>
 #include <stdexcept>
 
 #include "api/batch.hh"
@@ -78,21 +79,24 @@ SweepResult::averagesAt(std::size_t technology) const
     return avg;
 }
 
-void
-SweepResult::writeCsv(std::ostream &os) const
+std::string
+SweepResult::toCsv() const
 {
-    CsvWriter csv(os);
+    std::string out;
+    CsvWriter csv(out);
     detail::writePolicyCsvHeader(csv);
     for (const auto &c : cells)
         detail::writePolicyCsvRows(csv, workloads[c.workload],
                                    policy_keys, c.policies,
                                    technologies[c.technology]);
+    return out;
 }
 
-void
-SweepResult::writeJson(std::ostream &os) const
+std::string
+SweepResult::toJson() const
 {
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     w.beginArray("policies");
     for (const auto &key : policy_keys)
@@ -115,7 +119,20 @@ SweepResult::writeJson(std::ostream &os) const
     }
     w.endArray();
     w.endObject();
-    os << "\n";
+    out += '\n';
+    return out;
+}
+
+void
+SweepResult::writeCsv(std::ostream &os) const
+{
+    os << toCsv();
+}
+
+void
+SweepResult::writeJson(std::ostream &os) const
+{
+    os << toJson();
 }
 
 // --------------------------------------------------------- detail

@@ -179,9 +179,13 @@ struct SweepResult
      * relative_to_base,leakage_fraction), one per cell x policy,
      * with a header row.
      */
-    void writeCsv(std::ostream &os) const;
+    std::string toCsv() const;
 
     /** One JSON object: config echo + per-cell policy results. */
+    std::string toJson() const;
+
+    /** toCsv() / toJson() written to @p os. */
+    void writeCsv(std::ostream &os) const;
     void writeJson(std::ostream &os) const;
 };
 

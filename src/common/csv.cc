@@ -1,47 +1,67 @@
 #include "common/csv.hh"
 
-#include "common/logging.hh"
+#include "common/table.hh"
 
 namespace lsim
 {
 
-CsvWriter::CsvWriter(const std::string &path)
-    : file_(path)
-{
-    if (!file_)
-        fatal("cannot open CSV output file '%s'", path.c_str());
-}
-
-CsvWriter::CsvWriter(std::ostream &os)
-    : external_(&os)
+CsvWriter::CsvWriter(std::string &out)
+    : out_(out)
 {
 }
 
 void
-CsvWriter::writeRow(const std::vector<std::string> &cells)
+CsvWriter::separator()
 {
-    auto &os = out();
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        os << escape(cells[i]);
-        if (i + 1 < cells.size())
-            os << ',';
-    }
-    os << '\n';
+    if (!row_empty_)
+        out_ += ',';
+    row_empty_ = false;
 }
 
-std::string
-CsvWriter::escape(const std::string &cell)
+void
+CsvWriter::cell(std::string_view text)
 {
-    if (cell.find_first_of(",\"\r\n") == std::string::npos)
-        return cell;
-    std::string quoted = "\"";
-    for (char ch : cell) {
-        if (ch == '"')
-            quoted += '"';
-        quoted += ch;
+    separator();
+    if (text.find_first_of(",\"\r\n") == std::string_view::npos) {
+        out_ += text;
+        return;
     }
-    quoted += '"';
-    return quoted;
+    out_ += '"';
+    for (char ch : text) {
+        if (ch == '"')
+            out_ += '"';
+        out_ += ch;
+    }
+    out_ += '"';
+}
+
+void
+CsvWriter::cell(double value)
+{
+    separator();
+    appendNumber(out_, value);
+}
+
+void
+CsvWriter::cells(std::string_view text)
+{
+    separator();
+    out_ += text;
+}
+
+void
+CsvWriter::endRow()
+{
+    out_ += '\n';
+    row_empty_ = true;
+}
+
+void
+CsvWriter::writeRow(std::initializer_list<std::string_view> row)
+{
+    for (std::string_view text : row)
+        cell(text);
+    endRow();
 }
 
 } // namespace lsim

@@ -1,55 +1,55 @@
 /**
  * @file
- * Minimal CSV writer so bench harnesses can optionally dump raw series
- * for external plotting alongside the ASCII tables.
+ * Minimal CSV writer: the sweep and run CSV outputs, and the raw
+ * series bench harnesses dump for external plotting.
+ *
+ * CsvWriter appends to a std::string, cell by cell, so a row costs no
+ * temporary strings: text cells are quoted in place only when they
+ * need it, and numbers are formatted straight into the buffer by
+ * appendNumber (the same %.12g format as the JSON writer).
  */
 
 #ifndef LSIM_COMMON_CSV_HH
 #define LSIM_COMMON_CSV_HH
 
-#include <fstream>
+#include <initializer_list>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace lsim
 {
 
 /**
- * Writes rows of cells to a CSV file or stream. Cells containing
- * commas, quotes, carriage returns or newlines are quoted per
- * RFC 4180.
+ * Appends rows of cells to a string. Cells containing commas,
+ * quotes, carriage returns or newlines are quoted per RFC 4180.
  */
 class CsvWriter
 {
   public:
-    /** Open @p path for writing; fatal() on failure. */
-    explicit CsvWriter(const std::string &path);
+    /** Append to @p out (not owned). */
+    explicit CsvWriter(std::string &out);
 
-    /** Write to an already-open stream (not owned). */
-    explicit CsvWriter(std::ostream &os);
+    /** Append a text cell to the current row. */
+    void cell(std::string_view text);
 
-    /** Write one row. */
-    void writeRow(const std::vector<std::string> &cells);
+    /** Append a number cell in appendNumber's format. */
+    void cell(double value);
 
-    /** @return true if the underlying stream is healthy. */
-    bool good() const { return out().good(); }
+    /** Append @p text, one or more cells already in CSV form (such
+     * as numbers joined by commas), verbatim. */
+    void cells(std::string_view text);
+
+    /** End the current row. */
+    void endRow();
+
+    /** Write one row of text cells. */
+    void writeRow(std::initializer_list<std::string_view> row);
 
   private:
-    static std::string escape(const std::string &cell);
+    void separator();
 
-    std::ostream &out()
-    {
-        return external_ ? *external_
-                         : static_cast<std::ostream &>(file_);
-    }
-    const std::ostream &out() const
-    {
-        return external_ ? *external_
-                         : static_cast<const std::ostream &>(file_);
-    }
-
-    std::ofstream file_;
-    std::ostream *external_ = nullptr;
+    std::string &out_;
+    bool row_empty_ = true;
 };
 
 } // namespace lsim

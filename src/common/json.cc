@@ -1,7 +1,7 @@
 #include "common/json.hh"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -13,51 +13,68 @@
 namespace lsim
 {
 
+JsonWriter::JsonWriter(std::string &out)
+    : out_(out)
+{
+}
+
 JsonWriter::JsonWriter(std::ostream &os)
-    : os_(os)
+    : out_(own_), os_(&os)
 {
 }
 
 void
 JsonWriter::separator()
 {
-    if (!first_.empty()) {
-        if (!first_.back())
-            os_ << ",";
-        first_.back() = false;
+    if (depth_ > 0) {
+        if (!first_)
+            out_ += ',';
+        first_ = false;
     }
 }
 
 void
-JsonWriter::key(const std::string &name)
+JsonWriter::key(std::string_view name)
 {
     separator();
-    os_ << "\"" << escape(name) << "\":";
+    string(name);
+    out_ += ':';
 }
 
 void
-JsonWriter::raw(const std::string &text)
+JsonWriter::open(char bracket)
 {
-    os_ << text;
+    out_ += bracket;
+    ++depth_;
+    first_ = true;
+}
+
+void
+JsonWriter::close(char bracket)
+{
+    out_ += bracket;
+    --depth_;
+    first_ = false;
+    if (os_ && depth_ == 0) {
+        os_->write(out_.data(),
+                   static_cast<std::streamsize>(out_.size()));
+        out_.clear();
+    }
 }
 
 void
 JsonWriter::beginObject()
 {
     separator();
-    os_ << "{";
-    first_.push_back(true);
-    ++depth_;
+    open('{');
     started_ = true;
 }
 
 void
-JsonWriter::beginObject(const std::string &name)
+JsonWriter::beginObject(std::string_view name)
 {
     key(name);
-    os_ << "{";
-    first_.push_back(true);
-    ++depth_;
+    open('{');
 }
 
 void
@@ -65,28 +82,22 @@ JsonWriter::endObject()
 {
     if (depth_ == 0)
         panic("JsonWriter::endObject with no open scope");
-    os_ << "}";
-    first_.pop_back();
-    --depth_;
+    close('}');
 }
 
 void
 JsonWriter::beginArray()
 {
     separator();
-    os_ << "[";
-    first_.push_back(true);
-    ++depth_;
+    open('[');
     started_ = true;
 }
 
 void
-JsonWriter::beginArray(const std::string &name)
+JsonWriter::beginArray(std::string_view name)
 {
     key(name);
-    os_ << "[";
-    first_.push_back(true);
-    ++depth_;
+    open('[');
 }
 
 void
@@ -94,113 +105,124 @@ JsonWriter::endArray()
 {
     if (depth_ == 0)
         panic("JsonWriter::endArray with no open scope");
-    os_ << "]";
-    first_.pop_back();
-    --depth_;
+    close(']');
 }
 
 void
-JsonWriter::field(const std::string &name, const std::string &v)
+JsonWriter::field(std::string_view name, std::string_view v)
 {
     key(name);
-    os_ << "\"" << escape(v) << "\"";
+    string(v);
 }
 
 void
-JsonWriter::field(const std::string &name, const char *v)
+JsonWriter::field(std::string_view name, const char *v)
 {
-    field(name, std::string(v));
+    field(name, std::string_view(v));
 }
 
 void
-JsonWriter::field(const std::string &name, double v)
-{
-    key(name);
-    raw(number(v));
-}
-
-void
-JsonWriter::field(const std::string &name, std::uint64_t v)
+JsonWriter::field(std::string_view name, double v)
 {
     key(name);
-    os_ << v;
+    number(v);
 }
 
 void
-JsonWriter::field(const std::string &name, unsigned v)
+JsonWriter::field(std::string_view name, std::uint64_t v)
+{
+    key(name);
+    integer(v);
+}
+
+void
+JsonWriter::field(std::string_view name, unsigned v)
 {
     field(name, static_cast<std::uint64_t>(v));
 }
 
 void
-JsonWriter::field(const std::string &name, bool v)
+JsonWriter::field(std::string_view name, bool v)
 {
     key(name);
-    os_ << (v ? "true" : "false");
+    out_ += v ? "true" : "false";
 }
 
 void
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     separator();
-    os_ << "\"" << escape(v) << "\"";
+    string(v);
 }
 
 void
 JsonWriter::value(double v)
 {
     separator();
-    raw(number(v));
+    number(v);
 }
 
 void
 JsonWriter::value(std::uint64_t v)
 {
     separator();
-    os_ << v;
+    integer(v);
 }
 
-std::string
+void
 JsonWriter::number(double v)
 {
     if (!std::isfinite(v))
-        return "null"; // JSON has no inf/nan
-    return compactNumber(v);
+        out_ += "null"; // JSON has no inf/nan
+    else
+        appendNumber(out_, v);
 }
 
-std::string
-JsonWriter::escape(const std::string &text)
+void
+JsonWriter::integer(std::uint64_t v)
 {
-    std::string out;
-    out.reserve(text.size());
-    for (char ch : text) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void
+JsonWriter::string(std::string_view text)
+{
+    out_ += '"';
+    // Plain bytes are copied in runs between the ones that escape.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const auto ch = static_cast<unsigned char>(text[i]);
+        if (ch >= 0x20 && ch != '"' && ch != '\\')
+            continue;
+        out_.append(text, run, i - run);
+        run = i + 1;
         switch (ch) {
           case '"':
-            out += "\\\"";
+            out_ += "\\\"";
             break;
           case '\\':
-            out += "\\\\";
+            out_ += "\\\\";
             break;
           case '\n':
-            out += "\\n";
+            out_ += "\\n";
             break;
           case '\t':
-            out += "\\t";
+            out_ += "\\t";
             break;
           case '\r':
-            out += "\\r";
+            out_ += "\\r";
             break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
+          default: {
+            static constexpr char kHex[] = "0123456789abcdef";
+            const char escaped[] = {'\\', 'u', '0', '0',
+                                    kHex[ch >> 4], kHex[ch & 0xf]};
+            out_.append(escaped, sizeof(escaped));
+          }
         }
     }
-    return out;
+    out_.append(text, run);
+    out_ += '"';
 }
 
 // ------------------------------------------------------------- parsing

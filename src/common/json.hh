@@ -4,6 +4,16 @@
  * the user-facing ingestion paths (custom workload profiles, batch
  * specs, imported idle profiles). JsonWriter emits RFC 8259 JSON;
  * parseJson() reads it back into a JsonValue tree.
+ *
+ * JsonWriter's sink is a std::string: keys and strings are escaped
+ * straight into it and numbers formatted into it (appendNumber), so a
+ * document costs no temporary per token. The std::ostream
+ * constructor is an adapter over that one path for callers that hold
+ * a stream (the CLI, the benches, perfbench): it appends to a string
+ * of its own and writes that string to the stream when the root
+ * value closes. Until then the stream sees nothing, so a caller that
+ * writes to the same stream while the document is open must use the
+ * string form.
  */
 
 #ifndef LSIM_COMMON_JSON_HH
@@ -12,6 +22,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,9 +30,10 @@ namespace lsim
 {
 
 /**
- * Streaming JSON writer with explicit begin/end nesting. Usage:
+ * JSON writer with explicit begin/end nesting. Usage:
  * @code
- *   JsonWriter w(os);
+ *   std::string out;
+ *   JsonWriter w(out);
  *   w.beginObject();
  *   w.field("ipc", 1.25);
  *   w.beginArray("units");
@@ -33,28 +45,38 @@ namespace lsim
 class JsonWriter
 {
   public:
+    /** Append the document to @p out (not owned). */
+    explicit JsonWriter(std::string &out);
+
+    /** Write the document to @p os (not owned) when its root value
+     * closes (see the file comment). */
     explicit JsonWriter(std::ostream &os);
+
+    // out_ may refer to own_.
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     /** Open the root or a nested object (named inside objects). */
     void beginObject();
-    void beginObject(const std::string &key);
+    void beginObject(std::string_view key);
     void endObject();
 
     /** Open an array (named inside objects). */
     void beginArray();
-    void beginArray(const std::string &key);
+    void beginArray(std::string_view key);
     void endArray();
 
-    /** Emit a key/value pair inside an object. */
-    void field(const std::string &key, const std::string &value);
-    void field(const std::string &key, const char *value);
-    void field(const std::string &key, double value);
-    void field(const std::string &key, std::uint64_t value);
-    void field(const std::string &key, unsigned value);
-    void field(const std::string &key, bool value);
+    /** Emit a key/value pair inside an object. The const char *
+     * overload keeps a string literal from binding to bool. */
+    void field(std::string_view key, std::string_view value);
+    void field(std::string_view key, const char *value);
+    void field(std::string_view key, double value);
+    void field(std::string_view key, std::uint64_t value);
+    void field(std::string_view key, unsigned value);
+    void field(std::string_view key, bool value);
 
     /** Emit a bare value inside an array. */
-    void value(const std::string &value);
+    void value(std::string_view value);
     void value(double value);
     void value(std::uint64_t value);
 
@@ -63,14 +85,20 @@ class JsonWriter
 
   private:
     void separator();
-    void key(const std::string &name);
-    void raw(const std::string &text);
-    static std::string escape(const std::string &text);
-    static std::string number(double value);
+    void key(std::string_view name);
+    void open(char bracket);
+    void close(char bracket);
+    void string(std::string_view text);
+    void number(double value);
+    void integer(std::uint64_t value);
 
-    std::ostream &os_;
-    std::vector<bool> first_; ///< per-scope "no element yet" flags
+    std::string own_;            ///< the stream adapter's buffer
+    std::string &out_;           ///< sink: a caller's string or own_
+    std::ostream *os_ = nullptr; ///< adapter target, else null
     int depth_ = 0;
+    /** The innermost open scope has no element yet. A closed scope
+     * is an element of its parent, so only opening sets this. */
+    bool first_ = false;
     bool started_ = false;
 };
 

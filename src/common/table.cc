@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/logging.hh"
@@ -67,16 +69,37 @@ sci(double value, int digits)
     return buf;
 }
 
+void
+appendNumber(std::string &out, double value)
+{
+    char buf[32];
+    char *end = nullptr;
+    // %.12g prints an integer-valued |v| < 1e12 with all its digits
+    // and no point or exponent, which is what integer to_chars
+    // writes, at a fraction of the cost; -0 keeps its sign only in
+    // the general path. The range test comes first, so the cast is
+    // defined (NaN fails it).
+    if (value > -1e12 && value < 1e12) {
+        const auto whole = static_cast<std::int64_t>(value);
+        if (static_cast<double>(whole) == value &&
+            (whole != 0 || !std::signbit(value)))
+            end = std::to_chars(buf, buf + sizeof(buf), whole).ptr;
+    }
+    // The standard defines this call as printf's %.12g in the "C"
+    // locale; it formats without printf's locale and format parsing.
+    if (!end)
+        end = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, 12)
+                  .ptr;
+    out.append(buf, end);
+}
+
 std::string
 compactNumber(double value)
 {
-    // The standard defines this call as printf's %.12g in the "C"
-    // locale; it formats without printf's locale and format parsing.
-    char buf[32];
-    const auto end = std::to_chars(buf, buf + sizeof(buf), value,
-                                   std::chars_format::general, 12)
-                         .ptr;
-    return std::string(buf, end);
+    std::string out;
+    appendNumber(out, value);
+    return out;
 }
 
 } // namespace lsim

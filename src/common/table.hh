@@ -1,8 +1,17 @@
 /**
  * @file
- * ASCII table rendering for bench harness output. Bench binaries print
- * the same rows/series as the paper's tables and figures; this helper
- * keeps that output aligned and readable.
+ * ASCII table rendering for bench harness output, and the number
+ * formats every text output uses. Bench binaries print the same
+ * rows/series as the paper's tables and figures; Table keeps that
+ * output aligned and readable.
+ *
+ * appendNumber() is the one number format of CSV and JSON emission
+ * and of policy-spec encoding (compactNumber() wraps it): printf's
+ * %.12g, byte for byte. Integer-valued doubles below 1e12 in
+ * magnitude, -0 aside, take an integer to_chars path; %.12g prints
+ * exactly those values as plain integers, so its bytes are the same
+ * (Format.CompactNumberMatchesPrintf covers that domain and its
+ * edges).
  */
 
 #ifndef LSIM_COMMON_TABLE_HH
@@ -50,11 +59,11 @@ std::string fixed(double value, int digits = 3);
 /** Format @p value in scientific notation with @p digits digits. */
 std::string sci(double value, int digits = 2);
 
-/**
- * General format with 12 significant digits, byte-identical to
- * printf's %.12g — the one number format of CSV and JSON emission and
- * policy-spec encoding.
- */
+/** Append @p value to @p out as printf's %.12g in the "C" locale
+ * would print it (see the file comment). */
+void appendNumber(std::string &out, double value);
+
+/** appendNumber() into a new string. */
 std::string compactNumber(double value);
 
 } // namespace lsim

@@ -1,7 +1,6 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/files.hh"
 #include "common/json.hh"
@@ -219,11 +218,11 @@ MetricsRegistry::writeJson(JsonWriter &w) const
 std::string
 MetricsRegistry::dumpJson() const
 {
-    std::ostringstream os;
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     writeJson(w);
-    os << "\n";
-    return os.str();
+    out += '\n';
+    return out;
 }
 
 bool

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <sstream>
 
 #include "common/files.hh"
 #include "common/json.hh"
@@ -87,8 +86,8 @@ TraceSession::flush()
 
     const std::uint64_t pid =
         static_cast<std::uint64_t>(::getpid());
-    std::ostringstream os;
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     w.beginArray("traceEvents");
     for (const auto &ev : snapshot) {
@@ -105,8 +104,8 @@ TraceSession::flush()
     w.endArray();
     w.field("displayTimeUnit", "ms");
     w.endObject();
-    os << "\n";
-    return atomicWriteFile(path, os.str());
+    out += '\n';
+    return atomicWriteFile(path, out);
 }
 
 std::size_t

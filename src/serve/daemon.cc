@@ -128,8 +128,8 @@ struct Daemon::Request
     std::string statusJson(const char *state,
                            const std::string &error = "") const
     {
-        std::ostringstream ss;
-        JsonWriter w(ss);
+        std::string out;
+        JsonWriter w(out);
         w.beginObject();
         w.field("spec", spec_label);
         w.field("state", state);
@@ -161,8 +161,8 @@ struct Daemon::Request
             w.endObject();
         }
         w.endObject();
-        ss << "\n";
-        return ss.str();
+        out += '\n';
+        return out;
     }
 
     /** Atomically (re)write <result_dir>/status.json; @return the
@@ -706,48 +706,51 @@ Daemon::execute(const QueuedRequest &qr)
     }
 
     // Render once; the primary and every follower get these bytes.
-    // The pool is idle once the batch returns, so each sweep's CSV
-    // (task 2s) and JSON (task 2s + 1) render as index-addressed
-    // tasks into their own slots.
+    // The pool is idle once the batch returns, so each sweep's JSON
+    // (task s) and CSV (task S + s) render as index-addressed tasks
+    // into their own slots. The pool claims tasks in index order, so
+    // the JSON renders, several times longer than the CSV ones,
+    // start first and the short tasks fill in behind them.
+    const std::size_t num_sweeps = result.sweeps.size();
     std::vector<std::pair<std::string, std::string>> rendered(
-        result.sweeps.size());
+        num_sweeps);
     {
         obs::TraceSpan render_span("serve.render", "serve");
         obs::ScopedTimerMs timer(obs::histogram("serve.render_ms"));
-        pool_.run(2 * rendered.size(), [&](std::size_t t) {
-            const api::SweepResult &sweep = result.sweeps[t / 2];
-            std::ostringstream os;
-            if (t % 2 == 0) {
-                sweep.writeCsv(os);
-                rendered[t / 2].first = std::move(os).str();
-            } else {
-                sweep.writeJson(os);
-                rendered[t / 2].second = std::move(os).str();
-            }
+        pool_.run(2 * num_sweeps, [&](std::size_t t) {
+            if (t < num_sweeps)
+                rendered[t].second = result.sweeps[t].toJson();
+            else
+                rendered[t - num_sweeps].first =
+                    result.sweeps[t - num_sweeps].toCsv();
         });
     }
 
-    req.sweeps = result.sweeps.size();
+    req.sweeps = num_sweeps;
     req.stats = result.stats;
 
-    const auto deliver = [&](Request &r,
-                             const QueuedRequest &origin) -> bool {
-        for (std::size_t i = 0; i < rendered.size(); ++i) {
+    const auto writeResults = [&](const std::string &dir) -> bool {
+        for (std::size_t i = 0; i < num_sweeps; ++i) {
             const std::string stem_i =
-                (fs::path(r.result_dir) /
-                 ("sweep_" + std::to_string(i)))
+                (fs::path(dir) / ("sweep_" + std::to_string(i)))
                     .string();
             if (LSIM_FAULT("serve.deliver") ||
                 !atomicWriteFile(stem_i + ".csv",
                                  rendered[i].first) ||
                 !atomicWriteFile(stem_i + ".json",
-                                 rendered[i].second)) {
-                failRequest(origin,
-                            "cannot write results under '" +
-                                r.result_dir + "'",
-                            r.started_at);
+                                 rendered[i].second))
                 return false;
-            }
+        }
+        return true;
+    };
+    const auto deliver = [&](Request &r, const QueuedRequest &origin,
+                             bool written) -> bool {
+        if (!written) {
+            failRequest(origin,
+                        "cannot write results under '" +
+                            r.result_dir + "'",
+                        r.started_at);
+            return false;
         }
         r.total_ms = msSince(origin.admitted);
         r.finished_at = obs::isoTimestampNow();
@@ -775,7 +778,13 @@ Daemon::execute(const QueuedRequest &qr)
         return true;
     };
 
-    if (!deliver(req, qr)) {
+    bool written = false;
+    {
+        obs::TraceSpan deliver_span("serve.deliver", "serve");
+        obs::ScopedTimerMs timer(obs::histogram("serve.deliver_ms"));
+        written = writeResults(req.result_dir);
+    }
+    if (!deliver(req, qr, written)) {
         // The primary's failure fails its followers too — their
         // promise was "the primary's results".
         for (const QueuedRequest &f : queue_.finish(qr.name))
@@ -817,7 +826,7 @@ Daemon::execute(const QueuedRequest &qr)
         fr.coalesced_with = qr.name;
         std::error_code ec;
         fs::create_directories(fr.result_dir, ec);
-        deliver(fr, f);
+        deliver(fr, f, writeResults(fr.result_dir));
     }
 }
 

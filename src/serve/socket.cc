@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include <poll.h>
@@ -121,14 +120,14 @@ recvLine(int fd, std::string *out)
 std::string
 errorLine(const std::string &name, const std::string &message)
 {
-    std::ostringstream ss;
-    JsonWriter w(ss);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     w.field("spec", name.empty() ? "?" : name);
     w.field("state", "error");
     w.field("error", message);
     w.endObject();
-    return ss.str();
+    return out;
 }
 
 /** Connect to the daemon socket; -1 with @p error set on failure. */
@@ -409,7 +408,7 @@ socketSubmit(const std::string &socket_path,
              const std::string &spec_text, int priority, bool wait,
              double timeout_s)
 {
-    std::ostringstream header;
+    std::string header;
     JsonWriter w(header);
     w.beginObject();
     w.field("cmd", "submit");
@@ -420,8 +419,7 @@ socketSubmit(const std::string &socket_path,
     w.field("spec_bytes",
             static_cast<std::uint64_t>(spec_text.size()));
     w.endObject();
-    return roundTrip(socket_path,
-                     header.str() + "\n" + spec_text,
+    return roundTrip(socket_path, header + "\n" + spec_text,
                      wait ? 2 : 1);
 }
 
@@ -429,14 +427,14 @@ ClientResult
 socketWait(const std::string &socket_path, const std::string &name,
            double timeout_s)
 {
-    std::ostringstream header;
+    std::string header;
     JsonWriter w(header);
     w.beginObject();
     w.field("cmd", "wait");
     w.field("name", name);
     w.field("timeout_s", timeout_s);
     w.endObject();
-    return roundTrip(socket_path, header.str() + "\n", 1);
+    return roundTrip(socket_path, header + "\n", 1);
 }
 
 } // namespace lsim::serve

@@ -93,10 +93,10 @@ beginIndex(JsonWriter &w, std::uint64_t generation)
 std::string
 indexHeader(std::uint64_t generation)
 {
-    std::ostringstream ss;
-    JsonWriter w(ss);
+    std::string out;
+    JsonWriter w(out);
     beginIndex(w, generation);
-    return ss.str();
+    return out;
 }
 
 } // namespace
@@ -269,8 +269,8 @@ StoreIndex::save()
         reload ? merged : entries_;
 
     const std::uint64_t generation = disk_generation + 1;
-    std::ostringstream ss;
-    JsonWriter w(ss);
+    std::string text;
+    JsonWriter w(text);
     beginIndex(w, generation);
     for (const auto &[key, entry] : image) {
         w.beginObject();
@@ -287,8 +287,7 @@ StoreIndex::save()
     }
     w.endArray();
     w.endObject();
-    ss << "\n";
-    const std::string text = ss.str();
+    text += '\n';
     if (LSIM_FAULT("store.index.write") ||
         !atomicWriteFile(path(), text))
         return false;

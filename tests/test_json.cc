@@ -53,12 +53,61 @@ TEST(Json, NestedStructures)
 
 TEST(Json, EscapesSpecialCharacters)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
+    // Every escape class, then bytes that pass through unchanged:
+    // DEL and a UTF-8 multibyte sequence (U+00E9).
+    const std::string raw = "a\"b\\c\nd\te\rf\x01g\x1fh\x7fi\xc3\xa9j";
+    const std::string escaped =
+        "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fh\x7fi\xc3\xa9j\"";
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
-    w.field("s", "a\"b\\c\nd");
+    w.field(raw, raw);
+    w.beginArray("v");
+    w.value(raw);
+    w.endArray();
     w.endObject();
-    EXPECT_EQ(os.str(), "{\"s\":\"a\\\"b\\\\c\\nd\"}");
+    EXPECT_EQ(out, "{" + escaped + ":" + escaped + ",\"v\":[" +
+                       escaped + "]}");
+    EXPECT_EQ(lsim::parseJson(out).at(raw).asString(), raw);
+}
+
+TEST(Json, StreamAdapterWritesAtRootClose)
+{
+    const auto document = [](JsonWriter &w) {
+        w.beginObject();
+        w.field("name", "gcc");
+        w.beginArray("points");
+        w.beginObject();
+        w.field("p", 0.05);
+        w.field("cycles", std::uint64_t{120});
+        w.endObject();
+        w.value(-0.0);
+        w.endArray();
+        w.field("ok", false);
+        w.endObject();
+    };
+    std::string text;
+    JsonWriter to_string(text);
+    document(to_string);
+
+    EXPECT_EQ(text, "{\"name\":\"gcc\",\"points\":[{\"p\":0.05,"
+                    "\"cycles\":120},-0],\"ok\":false}");
+
+    // What the caller writes after the close lands after the
+    // document.
+    std::ostringstream os;
+    JsonWriter to_stream(os);
+    document(to_stream);
+    os << "\n";
+    EXPECT_EQ(os.str(), text + "\n");
+
+    // Nothing reaches the stream while the root is open.
+    std::ostringstream open_os;
+    JsonWriter open_root(open_os);
+    open_root.beginObject();
+    open_root.beginArray("a");
+    open_root.endArray();
+    EXPECT_EQ(open_os.str(), "");
 }
 
 TEST(Json, NonFiniteBecomesNull)

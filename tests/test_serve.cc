@@ -429,6 +429,26 @@ TEST(Daemon, MetricsCountFailuresSeparately)
         EXPECT_EQ(hist->at("count").asU64(), 0u);
 }
 
+TEST(Daemon, DeliverHistogramCountsEachExecutedRequest)
+{
+    // Deltas, not absolutes: the registry is process-global.
+    obs::Histogram &deliver = obs::histogram("serve.deliver_ms");
+    const std::uint64_t before = deliver.count();
+
+    const std::string spool = freshDir("deliver_ms");
+    writeFile(fs::path(spool) / "multi.json", kMultiSpec);
+    writeFile(fs::path(spool) / "single.json", kSpec);
+    writeFile(fs::path(spool) / "bad.json", "not json");
+    Daemon daemon(baseConfig(spool));
+    const ServeStats stats = daemon.run();
+    ASSERT_EQ(stats.done, 2u);
+    ASSERT_EQ(stats.failed, 1u);
+
+    // One observation per executed request, whatever its sweep
+    // count; a spec that fails before execution writes no results.
+    EXPECT_EQ(deliver.count() - before, 2u);
+}
+
 TEST(Daemon, RejectsAnUncreatableSpool)
 {
     ServeConfig cfg;

@@ -260,6 +260,9 @@ TEST(SocketServe, CoalescesIdenticalSubmissionsToOneExecution)
               static_cast<std::uint64_t>(kClients - 1));
     EXPECT_EQ(obs::histogram("serve.request_ms").count(),
               static_cast<std::uint64_t>(kClients));
+    // Only the primary's result writes are timed as the deliver
+    // stage; followers copy the same bytes.
+    EXPECT_EQ(obs::histogram("serve.deliver_ms").count(), 1u);
 
     // Byte-identical fan-out, and identical to a direct run. The
     // clients race, so any one of them may have arrived first and

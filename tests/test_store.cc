@@ -647,6 +647,18 @@ TEST(StoreIndex, RoundTripsThroughIndexJson)
         index.put("gcc-abcd", entry);
         ASSERT_TRUE(index.save());
     }
+    // The exact bytes: the no-reload fast path compares the file's
+    // head with these, so they must not drift.
+    std::ifstream in(fs::path(dir) / StoreIndex::kFileName,
+                     std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(),
+              "{\"version\":2,\"generation\":1,\"entries\":[{"
+              "\"key\":\"gcc-abcd\",\"bytes\":4321,"
+              "\"touched\":1753700000.25,\"name\":\"gcc\",\"fus\":2,"
+              "\"committed\":500000,\"ipc\":1.619,"
+              "\"idle_fraction\":0.4125,\"intervals\":125}]}\n");
     StoreIndex reloaded(dir);
     const IndexEntry *entry = reloaded.find("gcc-abcd");
     ASSERT_NE(entry, nullptr);

@@ -18,8 +18,9 @@ drops below R. Serve warm latency is additionally guarded by
 --warm-ms-ceiling: the relative gate only fires when the absolute
 latency also exceeds the ceiling, so CI-runner noise on a
 sub-millisecond path cannot flake the job. O3 core throughput (the
-"core" block, Minst/s per benchmark) is diffed and charted but never
-gated. Files written by older bench versions simply lack the newer
+"core" block, Minst/s per benchmark) and sweep render time (the
+"render" block, ms per CSV and JSON render) are diffed and charted
+but never gated. Files written by older bench versions simply lack the newer
 metrics and are compared on what they have.
 
 History mode accumulates per-commit records and renders a
@@ -96,6 +97,12 @@ def metrics(doc):
         for entry in core.get("benchmarks", []):
             out[(entry["name"], "core_minst_per_s")] = \
                 entry.get("minst_per_s")
+    render = doc.get("render")
+    if render:
+        # Serial sweep render time, ms (lower is better).
+        # Report-only, like the core block.
+        out[("render", "csv_ms")] = render.get("csv_ms")
+        out[("render", "json_ms")] = render.get("json_ms")
     return {k: v for k, v in out.items() if v is not None}
 
 
@@ -113,7 +120,8 @@ GATED = (("8pt", "speedup"), ("20pt", "speedup"),
 # Metrics where smaller values are better: the quality ratio is
 # inverted (first/last) so < 1 still means "regressed".
 LOWER_IS_BETTER = frozenset({"warm_request_ms", "cold_request_ms",
-                             "socket_warm_request_ms"})
+                             "socket_warm_request_ms", "csv_ms",
+                             "json_ms"})
 
 
 def quality_ratio(key, first, last):
@@ -260,6 +268,11 @@ def render_html(records, out_path):
                   series_for("threaded_speedup"), x_labels),
         svg_chart("O3 core throughput", " Minst/s",
                   series_for("core_minst_per_s"), x_labels),
+        svg_chart("Sweep render time", " ms",
+                  [(name, [snap.get(("render", name))
+                           for _, snap in records])
+                   for name in ("csv_ms", "json_ms")],
+                  x_labels),
     ]
     body = "\n".join(c for c in charts if c)
     page = f"""<!DOCTYPE html>
@@ -282,8 +295,8 @@ def render_html(records, out_path):
 <h1>lsim replay perf trend</h1>
 <p>{len(records)} record(s), oldest first:
 {html.escape(x_labels[0])} &rarr; {html.escape(x_labels[-1])}.
-Speedups and core throughput: higher is better. Latency: lower is
-better.</p>
+Speedups and core throughput: higher is better. Latency and render
+time: lower is better.</p>
 {body}
 </body>
 </html>
