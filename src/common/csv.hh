@@ -1,7 +1,7 @@
 /**
  * @file
- * Minimal CSV writer: the sweep and run CSV outputs, and the raw
- * series bench harnesses dump for external plotting.
+ * Minimal CSV writer behind the sweep and run CSV outputs
+ * (api::SweepResult::toCsv, api::RunResult::toCsv).
  *
  * CsvWriter appends to a std::string, cell by cell, so a row costs no
  * temporary strings: text cells are quoted in place only when they
