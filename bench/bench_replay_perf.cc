@@ -40,6 +40,15 @@
  *     nine Table 3 benchmarks x 34 points x its seven policies, at
  *     insts), median of kRenderReps; the sweep itself is set-up,
  *     off the clock. Reported and recorded; not gated.
+ *  7. Adaptive widths — the Adaptive lane kernel alone, one thread,
+ *     at every vector width this build and CPU run
+ *     (replay::kernels::detail::adaptiveWidths()), over the render
+ *     dimension's nine profiles x one lane per point: the median of
+ *     kWidthReps passes and the kernel's operation count per second
+ *     (runs x lanes / time, "lane-steps"). Every width's accumulators
+ *     must equal the 128-bit kernel's bit for bit. Records which
+ *     width KernelBatch::run selects. Reported and recorded; not
+ *     gated.
  *
  * Emits BENCH_replay.json for the perf-regression trajectory
  * (tools/bench_trend.py diffs these across runs) and prints tables.
@@ -87,6 +96,7 @@
 #include "common/table.hh"
 #include "harness/experiment.hh"
 #include "replay/engine.hh"
+#include "replay/kernels.hh"
 #include "serve/daemon.hh"
 #include "serve/socket.hh"
 #include "sleep/policy_registry.hh"
@@ -528,10 +538,10 @@ mbPerS(std::size_t bytes, double ms)
     return ms > 0.0 ? static_cast<double>(bytes) / 1e3 / ms : 0.0;
 }
 
-/** Serial CSV and JSON render time of one warm_grid-shaped sweep
- * (see the file comment, dimension 6). */
-RenderResult
-measureRender(std::uint64_t insts, std::uint64_t seed)
+/** One of perfbench's warm_grid sweeps: the nine Table 3
+ * benchmarks x 34 points x its seven policies. */
+api::SweepResult
+warmGridSweep(std::uint64_t insts, std::uint64_t seed)
 {
     api::SweepConfig cfg;
     cfg.technologies = api::pSweep(0.05, 1.0, 34);
@@ -540,8 +550,14 @@ measureRender(std::uint64_t insts, std::uint64_t seed)
                     "adaptive"};
     cfg.insts = insts;
     cfg.seed = seed;
-    const api::SweepResult sweep = api::SweepRunner(cfg).run();
+    return api::SweepRunner(cfg).run();
+}
 
+/** Serial CSV and JSON render time of @p sweep (see the file
+ * comment, dimension 6). */
+RenderResult
+measureRender(const api::SweepResult &sweep)
+{
     RenderResult out;
     std::vector<double> csv_ms, json_ms;
     const auto elapsedMs = [](auto &&render) {
@@ -561,6 +577,84 @@ measureRender(std::uint64_t insts, std::uint64_t seed)
     std::sort(json_ms.begin(), json_ms.end());
     out.csv_ms = csv_ms[kRenderReps / 2];
     out.json_ms = json_ms[kRenderReps / 2];
+    return out;
+}
+
+/** The Adaptive kernel at one vector width (dimension 7). */
+struct WidthResult
+{
+    unsigned width = 0;
+    std::size_t block_lanes = 0;
+    double ms = 0.0; ///< median over kWidthReps passes
+    double lane_steps_per_s = 0.0;
+};
+
+constexpr int kWidthReps = 9;
+
+/** Lanes of @p bank as raw bits, for an exact comparison. */
+std::vector<double>
+bankValues(const replay::kernels::AccumulatorBank &bank)
+{
+    std::vector<double> out;
+    for (const auto *field : {&bank.active, &bank.unctrl_idle,
+                              &bank.sleep, &bank.transitions})
+        out.insert(out.end(), field->begin(), field->end());
+    return out;
+}
+
+/** Single-thread Adaptive kernel time over @p sweep's profiles, one
+ * lane per technology point, at every width (see the file comment,
+ * dimension 7). */
+std::vector<WidthResult>
+measureAdaptiveWidths(const api::SweepResult &sweep)
+{
+    namespace kernels = replay::kernels;
+    std::vector<replay::IntervalSet> sets;
+    std::uint64_t runs = 0;
+    for (const auto &ws : sweep.sims) {
+        sets.push_back(replay::IntervalSet::fromProfile(ws.idle));
+        for (std::uint64_t count : sets.back().counts)
+            runs += count;
+    }
+    kernels::KernelBatch batch(sleep::KernelSpec::Kind::Adaptive);
+    for (const auto &mp : sweep.technologies)
+        batch.addLane(sleep::PolicyRegistry::instance()
+                          .make("adaptive", mp)
+                          ->kernelSpec());
+
+    std::vector<WidthResult> out;
+    std::vector<std::vector<double>> baseline;
+    for (unsigned width : kernels::detail::adaptiveWidths()) {
+        std::vector<std::vector<double>> banks;
+        std::vector<double> ms;
+        for (int rep = 0; rep < kWidthReps; ++rep) {
+            banks.clear();
+            const auto start = std::chrono::steady_clock::now();
+            for (const auto &set : sets) {
+                kernels::AccumulatorBank bank;
+                bank.resize(batch.lanes());
+                kernels::detail::runAtWidth(batch, width, set, 0,
+                                            set.numDistinct(), true,
+                                            bank);
+                banks.push_back(bankValues(bank));
+            }
+            ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+        }
+        if (baseline.empty())
+            baseline = banks;
+        else if (banks != baseline)
+            fatal("adaptive kernel mismatch: %u-bit vs 128-bit", width);
+        std::sort(ms.begin(), ms.end());
+        const double median = ms[kWidthReps / 2];
+        out.push_back(
+            {width, kernels::detail::adaptiveBlockLanes(width), median,
+             median > 0.0 ? static_cast<double>(runs) *
+                                static_cast<double>(batch.lanes()) /
+                                (median / 1e3)
+                          : 0.0});
+    }
     return out;
 }
 
@@ -624,7 +718,12 @@ main(int argc, char **argv)
         measureThreaded(syntheticProfile(kShardedDistinct));
     const ServeResult served = measureServe(opts.insts, opts.seed);
     const std::vector<CoreResult> core = measureCore(opts.seed);
-    const RenderResult render = measureRender(opts.insts, opts.seed);
+    const api::SweepResult grid_sweep = warmGridSweep(opts.insts, opts.seed);
+    const RenderResult render = measureRender(grid_sweep);
+    const std::vector<WidthResult> widths =
+        measureAdaptiveWidths(grid_sweep);
+    const unsigned selected_width =
+        replay::kernels::detail::adaptiveWidths().back();
     double best_threaded = 0.0;
     for (const auto &t : threaded)
         if (t.threads > 1)
@@ -683,6 +782,19 @@ main(int argc, char **argv)
                  "policies, serial, median of "
               << kRenderReps << "):\n";
     trender.print(std::cout);
+
+    Table twidth({"width", "block lanes", "ms", "Mlane-steps/s"});
+    for (const auto &w : widths)
+        twidth.addRow({std::to_string(w.width) +
+                           (w.width == selected_width ? " (selected)"
+                                                      : ""),
+                       std::to_string(w.block_lanes), fixed(w.ms, 3),
+                       fixed(w.lane_steps_per_s / 1e6, 1)});
+    std::cout << "\nAdaptive kernel by vector width (9 benchmarks x "
+              << grid_sweep.technologies.size()
+              << " lanes, one thread, median of " << kWidthReps
+              << "):\n";
+    twidth.print(std::cout);
 
     std::cout << "\nReference grid (" << kReferencePoints
               << " points x " << sims.size()
@@ -781,6 +893,25 @@ main(int argc, char **argv)
         w.field("csv_mb_per_s", mbPerS(render.csv_bytes, render.csv_ms));
         w.field("json_mb_per_s",
                 mbPerS(render.json_bytes, render.json_ms));
+        w.endObject();
+        // Report-only: no gate reads this block.
+        w.beginObject("adaptive_widths");
+        w.field("reps", static_cast<std::uint64_t>(kWidthReps));
+        w.field("lanes", static_cast<std::uint64_t>(
+                             grid_sweep.technologies.size()));
+        w.field("selected_width",
+                static_cast<std::uint64_t>(selected_width));
+        w.beginArray("widths");
+        for (const auto &wr : widths) {
+            w.beginObject();
+            w.field("width", static_cast<std::uint64_t>(wr.width));
+            w.field("block_lanes",
+                    static_cast<std::uint64_t>(wr.block_lanes));
+            w.field("ms", wr.ms);
+            w.field("lane_steps_per_s", wr.lane_steps_per_s);
+            w.endObject();
+        }
+        w.endArray();
         w.endObject();
         w.beginObject("reference");
         w.field("points",

@@ -22,6 +22,7 @@
 #ifndef LSIM_ENERGY_BREAKEVEN_HH
 #define LSIM_ENERGY_BREAKEVEN_HH
 
+#include "common/types.hh"
 #include "energy/model.hh"
 #include "energy/params.hh"
 
@@ -33,6 +34,22 @@ namespace lsim::energy
  * equation (5). Requires p > 0, k < 1, alpha < 1.
  */
 double breakevenInterval(const ModelParams &params);
+
+/**
+ * The breakeven interval as a gradual-sleep slice count: rounded to
+ * the nearest cycle (halves away from zero, as std::llround), at
+ * least 1, and saturated at the largest unsigned, so a huge
+ * breakeven (p near 0) cannot wrap. An infinite breakeven (sleep
+ * never pays off) gives one slice.
+ */
+unsigned breakevenSlices(const ModelParams &params);
+
+/**
+ * The breakeven interval as a timeout: rounded like
+ * breakevenSlices() and saturated at the largest Cycle. An infinite
+ * breakeven maps to an effectively-never timeout, 2^20 cycles.
+ */
+Cycle breakevenTimeout(const ModelParams &params);
 
 /**
  * Direct numerical solve of equation (4) using the EnergyModel's

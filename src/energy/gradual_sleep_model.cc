@@ -1,7 +1,6 @@
 #include "energy/gradual_sleep_model.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "energy/breakeven.hh"
@@ -13,17 +12,10 @@ GradualSleepModel::GradualSleepModel(const ModelParams &params,
                                      unsigned num_slices)
     : model_(params), slices_(num_slices)
 {
-    if (slices_ == 0) {
-        const double be = breakevenInterval(params);
-        if (!std::isfinite(be)) {
-            // Degenerate technology where sleep never pays off: a
-            // single slice (pure MaxSleep behavior) is as good as any.
-            slices_ = 1;
-        } else {
-            slices_ = std::max(1u,
-                static_cast<unsigned>(std::llround(be)));
-        }
-    }
+    // An infinite breakeven (sleep never pays off) gives a single
+    // slice, pure MaxSleep behavior, as good as any.
+    if (slices_ == 0)
+        slices_ = breakevenSlices(params);
 }
 
 CycleCounts

@@ -17,11 +17,6 @@ namespace
 /** Clamp matching the Log2Histogram default the profiles use. */
 constexpr Cycle kBucketClamp = 8192;
 
-/** Adaptive lanes per kernel group, and so per task: Adaptive never
- * shards, so a one-workload sweep spreads its lanes over the pool
- * instead (34 points make 5 tasks). */
-constexpr std::size_t kAdaptiveGroupLanes = 8;
-
 /**
  * Chunk boundaries over the sorted distinct-length array: contiguous
  * ranges of at most @p max_per_chunk lengths, snapped to
@@ -164,8 +159,12 @@ MultiPointReplay::MultiPointReplay(
     // one SoA lane per deduplicated configuration, so a single pass
     // over the interval arrays fills every technology point's
     // accumulator for that policy. Adaptive lanes each walk the
-    // whole stream, so they batch in groups of kAdaptiveGroupLanes.
+    // whole stream and never shard, so they batch one kernel block
+    // per group, and so per task: a one-workload sweep spreads its
+    // lanes over the pool, and only its last group holds a partial
+    // block (34 points make 3 groups of up to 16 at 512 bits).
     if (options.use_kernels) {
+        const std::size_t adaptive_lanes = kernels::adaptiveBlockLanes();
         for (std::size_t u = 0; u < units_.size(); ++u) {
             const sleep::KernelSpec &spec = units_[u].spec;
             if (!spec.hasKernel())
@@ -174,7 +173,7 @@ MultiPointReplay::MultiPointReplay(
             for (auto &g : groups_)
                 if (g.batch.kind() == spec.kind &&
                     (spec.historyFree() ||
-                     g.batch.lanes() < kAdaptiveGroupLanes))
+                     g.batch.lanes() < adaptive_lanes))
                     group = &g;
             if (!group) {
                 groups_.push_back(KernelGroup{

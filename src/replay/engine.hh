@@ -57,12 +57,13 @@
  * sharding engages only above the threshold or on request.
  *
  * Adaptive is never sharded: a chunk would restart its prediction.
- * Its kernel lanes instead split into groups of a few lanes, one
- * whole-stream task each, so a one-workload sweep still spreads
- * over the pool. External registrations that do not override
- * SleepController::kernelSpec() can be neither kernelized nor
- * sharded: they replay the whole interval set sequentially per
- * (point, policy), as their own parallel task (the fallback path).
+ * Its kernel lanes instead split into groups of one kernel block
+ * (4 to 16 lanes, by vector width), one whole-stream task each, so
+ * a one-workload sweep still spreads over the pool. External
+ * registrations that do not override SleepController::kernelSpec()
+ * can be neither kernelized nor sharded: they replay the whole
+ * interval set sequentially per (point, policy), as their own
+ * parallel task (the fallback path).
  *
  * The stream each unit reads is the interval multiset in ascending
  * length order. A history-free policy needs only the multiset;
@@ -211,7 +212,8 @@ class MultiPointReplay
     std::size_t numUnits() const { return units_.size(); }
 
     /** Batched kernel invocations: one per history-free kind, and
-     * one per group of up to eight Adaptive lanes. */
+     * one per group of up to kernels::adaptiveBlockLanes() Adaptive
+     * lanes. */
     std::size_t numKernelGroups() const { return groups_.size(); }
 
     /** Units replayed through batch kernels (vs the fallback). */
@@ -248,8 +250,8 @@ class MultiPointReplay
     };
 
     /** One batched kernel: the kernelized units of one policy kind
-     * (every one, or up to eight for Adaptive), one SoA accumulator
-     * lane per unit. */
+     * (every one, or one kernel block for Adaptive), one SoA
+     * accumulator lane per unit. */
     struct KernelGroup
     {
         kernels::KernelBatch batch;

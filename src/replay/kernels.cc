@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
-#include "common/logging.hh"
 #include "replay/engine.hh"
 #include "sleep/controllers.hh"
 
@@ -35,8 +37,9 @@ KernelBatch::addLane(const sleep::KernelSpec &spec)
 {
     using Kind = sleep::KernelSpec::Kind;
     if (spec.kind != kind_)
-        fatal("KernelBatch::addLane: spec '%s' does not match the "
-              "batch kind", spec.key().c_str());
+        throw std::invalid_argument("KernelBatch::addLane: spec '" +
+                                    spec.key() +
+                                    "' does not match the batch kind");
     switch (kind_) {
     case Kind::AlwaysActive:
     case Kind::MaxSleep:
@@ -44,7 +47,8 @@ KernelBatch::addLane(const sleep::KernelSpec &spec)
         break;
     case Kind::Gradual: {
         if (spec.slices == 0)
-            fatal("KernelBatch::addLane: gradual slice count 0");
+            throw std::invalid_argument(
+                "KernelBatch::addLane: gradual slice count 0");
         const double n = static_cast<double>(spec.slices);
         slices_.push_back(n);
         // Saturated-regime constants, spelled exactly like
@@ -76,15 +80,16 @@ KernelBatch::addLane(const sleep::KernelSpec &spec)
             prefix.push_back(total);
         }
         if (prefix.empty())
-            fatal("KernelBatch::addLane: weighted-gradual without "
-                  "weights");
+            throw std::invalid_argument("KernelBatch::addLane: "
+                                        "weighted-gradual without weights");
         prefix.back() = 1.0; // exact despite rounding, as in the ctor
         weight_sets_.push_back(spec.weights);
         prefix_sets_.push_back(std::move(prefix));
         break;
     }
     case Kind::None:
-        fatal("KernelBatch::addLane: Kind::None has no kernel");
+        throw std::invalid_argument(
+            "KernelBatch::addLane: Kind::None has no kernel");
     }
     return lanes_++;
 }
@@ -337,110 +342,263 @@ runOracle(const std::vector<double> &breakevens,
  * time-ordered stream of one run per entry). */
 constexpr std::size_t kAdaptiveTileEntries = 1024;
 
-/** Adaptive lanes per vector: 128 bits, the SSE2 and NEON width. */
-constexpr std::size_t kAdaptiveVecLanes = 2;
-
-/** Vectors one block keeps in registers. Each lane's EWMA is a
- * serial multiply-add chain, so more independent chains hide more
- * latency until registers run out: four lanes measured best. */
-constexpr std::size_t kAdaptiveBlockVecs = 2;
-
-constexpr std::size_t kAdaptiveBlockLanes =
-    kAdaptiveVecLanes * kAdaptiveBlockVecs;
-
-/** kAdaptiveVecLanes lanes as one vector (GCC/Clang vector
- * extension): each operator acts lane by lane with scalar IEEE
- * semantics, and a comparison yields an all-ones or all-zeros
- * integer mask per lane. */
-typedef double AdaptiveVec
-    __attribute__((vector_size(sizeof(double) * kAdaptiveVecLanes)));
-typedef decltype(AdaptiveVec{} < AdaptiveVec{}) AdaptiveMask;
-
-/** Per lane, @p a where @p m is set, else @p b — bit for bit. */
-inline AdaptiveVec
-blend(AdaptiveMask m, AdaptiveVec a, AdaptiveVec b)
+/** One Adaptive replay: the stream range, and every lane's
+ * parameters, running prediction and accumulators. */
+struct AdaptiveRun
 {
-    return (AdaptiveVec)(((AdaptiveMask)a & m) | ((AdaptiveMask)b & ~m));
+    const IntervalSet &set;
+    std::size_t begin;
+    std::size_t end;
+    const std::vector<double> &breakevens;
+    const std::vector<double> &weights;
+    std::vector<double> &predicted;
+    AccumulatorBank &bank;
+};
+
+/**
+ * A block shape: V vectors of type Vec, a GCC/Clang vector of
+ * doubles. Each operator acts lane by lane with scalar IEEE
+ * semantics, a comparison yields an all-ones or all-zeros integer
+ * mask per lane, and `mask ? a : b` picks a or b per lane, bit for
+ * bit. Each lane's EWMA is a serial multiply-add chain, so more
+ * vectors per block hide more latency, until registers run out.
+ */
+template <typename Vec, std::size_t V>
+struct AdaptiveShape
+{
+    using Vector = Vec;
+    static constexpr std::size_t vecs = V;
+    static constexpr std::size_t lanes = V * (sizeof(Vec) / sizeof(double));
+    static constexpr unsigned bits = 8 * sizeof(Vec);
+};
+
+/** Lanes [lane, lane + Shape::lanes) of @p src into @p out; a lane
+ * past @p last, in a partial last block, repeats lane @p last. */
+template <typename Shape>
+[[gnu::always_inline]] inline void
+loadLanes(typename Shape::Vector (&out)[Shape::vecs],
+          const std::vector<double> &src, std::size_t lane,
+          std::size_t last)
+{
+    double tmp[Shape::lanes];
+    for (std::size_t j = 0; j < Shape::lanes; ++j)
+        tmp[j] = src[std::min(lane + j, last)];
+    std::memcpy(out, tmp, sizeof tmp);
+}
+
+/** @p in back into lanes [lane, lane + Shape::lanes) of @p dst,
+ * dropping any lane past @p last. */
+template <typename Shape>
+[[gnu::always_inline]] inline void
+storeLanes(const typename Shape::Vector (&in)[Shape::vecs],
+           std::vector<double> &dst, std::size_t lane, std::size_t last)
+{
+    double tmp[Shape::lanes];
+    std::memcpy(tmp, in, sizeof tmp);
+    for (std::size_t j = 0; j < Shape::lanes && lane + j <= last; ++j)
+        dst[lane + j] = tmp[j];
 }
 
 /**
  * The block of lanes from @p lane over entries [begin, end): every
  * run of every entry, in stream order, performs AdaptiveController::
  * doIdleRun's operation sequence. The controller's branches become
- * blends, and each field gains exactly what the taken branch adds,
+ * selects, and each field gains exactly what the taken branch adds,
  * or +0.0 — a no-op on the non-negative totals. The per-entry terms
  * (the EWMA's weight * length, the timeout wait, and the transition
  * and sleep of a short prediction) are computed once per entry with
  * the controller's own expressions. The transition increment is
  * short_tr + (sleep_now ? 1 - short_tr : 0) with short_tr 0 or 1:
- * exactly 1.0 or short_tr, without a blend on a mask-or, which GCC
+ * exactly 1.0 or short_tr, without a select on a mask-or, which GCC
  * lowers to scalar code.
+ *
+ * Always inlined and passed no vector, so no vector crosses a call:
+ * each shape compiles inside its width's wrapper, for that
+ * wrapper's target and under its floating-point settings.
  */
-void
-adaptiveBlock(const IntervalSet &set, std::size_t begin,
-              std::size_t end, std::size_t lane,
-              const std::vector<double> &breakevens,
-              const std::vector<double> &weights,
-              std::vector<double> &predicted, AccumulatorBank &bank)
+template <typename Shape>
+[[gnu::always_inline]] inline void
+adaptiveBlock(const AdaptiveRun &run, std::size_t begin,
+              std::size_t end, std::size_t lane)
 {
-    constexpr std::size_t V = kAdaptiveBlockVecs;
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+    using Vec = typename Shape::Vector;
+    constexpr std::size_t V = Shape::vecs;
     // A partial last block repeats the last lane and drops the copy.
-    const std::size_t last = bank.lanes() - 1;
-    const AdaptiveVec zero = {};
-    const AdaptiveVec one = zero + 1.0;
-    AdaptiveVec be[V], w[V], keep[V], pred[V], ui[V], tr[V], sp[V];
-    for (std::size_t v = 0; v < V; ++v) {
-        for (std::size_t k = 0; k < kAdaptiveVecLanes; ++k) {
-            const std::size_t l =
-                std::min(lane + v * kAdaptiveVecLanes + k, last);
-            be[v][k] = breakevens[l];
-            w[v][k] = weights[l];
-            pred[v][k] = predicted[l];
-            ui[v][k] = bank.unctrl_idle[l];
-            tr[v][k] = bank.transitions[l];
-            sp[v][k] = bank.sleep[l];
-        }
+    const std::size_t last = run.bank.lanes() - 1;
+    const Vec zero = {};
+    const Vec one = zero + 1.0;
+    Vec be[V], w[V], keep[V], pred[V], ui[V], tr[V], sp[V];
+    loadLanes<Shape>(be, run.breakevens, lane, last);
+    loadLanes<Shape>(w, run.weights, lane, last);
+    loadLanes<Shape>(pred, run.predicted, lane, last);
+    loadLanes<Shape>(ui, run.bank.unctrl_idle, lane, last);
+    loadLanes<Shape>(tr, run.bank.transitions, lane, last);
+    loadLanes<Shape>(sp, run.bank.sleep, lane, last);
+    for (std::size_t v = 0; v < V; ++v)
         keep[v] = one - w[v];
-    }
+    // The vector loops below are unrolled by pragma: left to GCC's
+    // -O2 heuristics, the block's arrays stay in memory, not
+    // registers.
     for (std::size_t i = begin; i < end; ++i) {
-        const AdaptiveVec length = // broadcast: 0.0 + x == x
-            zero + static_cast<double>(set.lengths[i]);
-        AdaptiveVec newest[V], wait[V], short_tr[V], lift_tr[V],
-            short_sp[V];
+        const Vec length = // broadcast: 0.0 + x == x
+            zero + static_cast<double>(run.set.lengths[i]);
+        Vec newest[V], wait[V], short_tr[V], lift_tr[V], short_sp[V];
+#pragma GCC unroll 4
         for (std::size_t v = 0; v < V; ++v) {
             newest[v] = w[v] * length;
             // std::min(length, breakeven)
-            wait[v] = blend(be[v] < length, be[v], length);
-            const AdaptiveMask past = length > be[v];
-            short_tr[v] = blend(past, one, zero);
+            wait[v] = be[v] < length ? be[v] : length;
+            const auto past = length > be[v];
+            // past & 1.0, not `past ? one : zero`: GCC 12 lowers that
+            // select to scalar code at 512 bits.
+            short_tr[v] = (Vec)(past & (decltype(past))one);
             lift_tr[v] = one - short_tr[v];
-            short_sp[v] = blend(past, length - wait[v], zero);
+            short_sp[v] = past ? length - wait[v] : zero;
         }
-        for (std::uint64_t r = set.counts[i]; r > 0; --r) {
+        for (std::uint64_t r = run.set.counts[i]; r > 0; --r) {
+#pragma GCC unroll 4
             for (std::size_t v = 0; v < V; ++v) {
-                const AdaptiveMask sleep_now = pred[v] >= be[v];
-                ui[v] += blend(sleep_now, zero, wait[v]);
-                tr[v] += short_tr[v] + blend(sleep_now, lift_tr[v], zero);
-                sp[v] += blend(sleep_now, length, short_sp[v]);
+                const auto sleep_now = pred[v] >= be[v];
+                ui[v] += sleep_now ? zero : wait[v];
+                tr[v] += short_tr[v] + (sleep_now ? lift_tr[v] : zero);
+                sp[v] += sleep_now ? length : short_sp[v];
                 pred[v] = newest[v] + keep[v] * pred[v];
             }
         }
     }
-    for (std::size_t v = 0; v < V; ++v) {
-        for (std::size_t k = 0; k < kAdaptiveVecLanes; ++k) {
-            const std::size_t l = lane + v * kAdaptiveVecLanes + k;
-            if (l > last)
-                return;
-            predicted[l] = pred[v][k];
-            bank.unctrl_idle[l] = ui[v][k];
-            bank.transitions[l] = tr[v][k];
-            bank.sleep[l] = sp[v][k];
-        }
+    storeLanes<Shape>(pred, run.predicted, lane, last);
+    storeLanes<Shape>(ui, run.bank.unctrl_idle, lane, last);
+    storeLanes<Shape>(tr, run.bank.transitions, lane, last);
+    storeLanes<Shape>(sp, run.bank.sleep, lane, last);
+}
+
+/** Every tile of the range, every block of lanes, in one shape. */
+template <typename Shape>
+[[gnu::always_inline]] inline void
+adaptiveTiles(const AdaptiveRun &run)
+{
+    for (std::size_t tile = run.begin; tile < run.end;
+         tile += kAdaptiveTileEntries) {
+        const std::size_t tile_end =
+            std::min(run.end, tile + kAdaptiveTileEntries);
+        for (std::size_t u = 0; u < run.bank.lanes(); u += Shape::lanes)
+            adaptiveBlock<Shape>(run, tile, tile_end, u);
     }
 }
 
+/*
+ * One wrapper per width. Each keeps `newest + keep * pred` at two
+ * roundings, as in AdaptiveController. GCC fuses a multiply and an
+ * add into one fused multiply-add (one rounding) wherever the target
+ * has one — AVX-512F does, and -ffp-contract=fast is GCC's C++
+ * default. The build flags cannot turn that off for every build of
+ * src/, so the source does: the optimize attribute below for GCC,
+ * and the pragma in adaptiveBlock for Clang. A 1-ulp prediction
+ * rarely flips a sleep decision, so besides a test built to flip
+ * one, CI checks the compiled kernels for fused multiply-adds.
+ */
+#if defined(__GNUC__) && !defined(__clang__)
+#define LSIM_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define LSIM_NO_FP_CONTRACT
+#endif
+
+typedef double AdaptiveVec128 __attribute__((vector_size(16)));
+
+/** 2 x 128 bits, 4 lanes: the portable baseline (SSE2, NEON), the
+ * only width off x86. */
+using AdaptiveShape128 = AdaptiveShape<AdaptiveVec128, 2>;
+
+LSIM_NO_FP_CONTRACT void
+adaptive128(const AdaptiveRun &run)
+{
+    adaptiveTiles<AdaptiveShape128>(run);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+typedef double AdaptiveVec256 __attribute__((vector_size(32)));
+typedef double AdaptiveVec512 __attribute__((vector_size(64)));
+
+/*
+ * Measured single-thread on 27 warm_grid-shaped profiles x 34 lanes
+ * (gcc 12, AVX-512 Xeon): 3 x 256 bits beat 2 x 256 by 15-20%; one
+ * 512-bit vector is latency-bound, and 3 x 512 gained under 10% over
+ * 2 x 512 while wasting more lanes in a small sweep's partial last
+ * block.
+ */
+
+/** 3 x 256 bits, 12 lanes. */
+using AdaptiveShape256 = AdaptiveShape<AdaptiveVec256, 3>;
+
+/** 2 x 512 bits, 16 lanes. */
+using AdaptiveShape512 = AdaptiveShape<AdaptiveVec512, 2>;
+
+__attribute__((target("avx2"))) LSIM_NO_FP_CONTRACT void
+adaptive256(const AdaptiveRun &run)
+{
+    adaptiveTiles<AdaptiveShape256>(run);
+}
+
+__attribute__((target("avx512f"))) LSIM_NO_FP_CONTRACT void
+adaptive512(const AdaptiveRun &run)
+{
+    adaptiveTiles<AdaptiveShape512>(run);
+}
+#endif
+
+#undef LSIM_NO_FP_CONTRACT
+
+/** The Adaptive kernel at one vector width. */
+struct AdaptiveKernel
+{
+    unsigned width;           ///< vector bits
+    std::size_t block_lanes;  ///< lanes one block holds
+    void (*replay)(const AdaptiveRun &);
+};
+
+template <typename Shape>
+AdaptiveKernel
+adaptiveKernel(void (*replay)(const AdaptiveRun &))
+{
+    return {Shape::bits, Shape::lanes, replay};
+}
+
+/** The Adaptive kernels this build and CPU run, narrowest first;
+ * the CPU is asked once. */
+const std::vector<AdaptiveKernel> &
+adaptiveKernels()
+{
+    static const std::vector<AdaptiveKernel> kernels = [] {
+        std::vector<AdaptiveKernel> out{
+            adaptiveKernel<AdaptiveShape128>(adaptive128)};
+#if defined(__x86_64__) || defined(__i386__)
+        if (__builtin_cpu_supports("avx2"))
+            out.push_back(adaptiveKernel<AdaptiveShape256>(adaptive256));
+        if (__builtin_cpu_supports("avx512f"))
+            out.push_back(adaptiveKernel<AdaptiveShape512>(adaptive512));
+#endif
+        return out;
+    }();
+    return kernels;
+}
+
+const AdaptiveKernel &
+adaptiveKernelAt(unsigned width)
+{
+    for (const AdaptiveKernel &k : adaptiveKernels())
+        if (k.width == width)
+            return k;
+    throw std::invalid_argument("Adaptive kernel: no " +
+                                std::to_string(width) +
+                                "-bit kernel on this build and CPU");
+}
+
 void
-runAdaptive(const std::vector<double> &breakevens,
+runAdaptive(const AdaptiveKernel &kernel,
+            const std::vector<double> &breakevens,
             const std::vector<double> &weights, const IntervalSet &set,
             std::size_t begin, std::size_t end, AccumulatorBank &bank)
 {
@@ -448,15 +606,8 @@ runAdaptive(const std::vector<double> &breakevens,
     for (double be : breakevens)
         predicted.push_back(
             sleep::AdaptiveController::initialPrediction(be));
-    for (std::size_t tile = begin; tile < end;
-         tile += kAdaptiveTileEntries) {
-        const std::size_t tile_end =
-            std::min(end, tile + kAdaptiveTileEntries);
-        for (std::size_t u = 0; u < bank.lanes();
-             u += kAdaptiveBlockLanes)
-            adaptiveBlock(set, tile, tile_end, u, breakevens, weights,
-                          predicted, bank);
-    }
+    kernel.replay(
+        AdaptiveRun{set, begin, end, breakevens, weights, predicted, bank});
 }
 
 } // namespace
@@ -466,10 +617,20 @@ KernelBatch::run(const IntervalSet &set, std::size_t begin,
                  std::size_t end, bool with_active,
                  AccumulatorBank &bank) const
 {
+    runAt(adaptiveKernels().back().width, set, begin, end, with_active,
+          bank);
+}
+
+void
+KernelBatch::runAt(unsigned adaptive_width, const IntervalSet &set,
+                   std::size_t begin, std::size_t end, bool with_active,
+                   AccumulatorBank &bank) const
+{
     using Kind = sleep::KernelSpec::Kind;
     if (bank.lanes() != lanes_)
-        fatal("KernelBatch::run: bank has %zu lanes, batch %zu",
-              bank.lanes(), lanes_);
+        throw std::invalid_argument(
+            "KernelBatch::run: bank has " + std::to_string(bank.lanes()) +
+            " lanes, batch " + std::to_string(lanes_));
     // The scalar call sequence opens with the active total (skipped
     // when zero), exactly like MultiPointReplay::replayRange.
     if (with_active && set.active_cycles > 0) {
@@ -502,12 +663,52 @@ KernelBatch::run(const IntervalSet &set, std::size_t begin,
         runOracle(breakevens_, set, begin, end, bank);
         return;
     case Kind::Adaptive:
-        runAdaptive(breakevens_, ewma_weights_, set, begin, end, bank);
+        runAdaptive(adaptiveKernelAt(adaptive_width), breakevens_,
+                    ewma_weights_, set, begin, end, bank);
         return;
     case Kind::None:
         break;
     }
-    fatal("KernelBatch::run: bad kind %d", static_cast<int>(kind_));
+    // addLane admits no Kind::None lane, so no batch gets here.
+    throw std::logic_error("KernelBatch::run: bad kind " +
+                           std::to_string(static_cast<int>(kind_)));
 }
+
+std::size_t
+adaptiveBlockLanes()
+{
+    return adaptiveKernels().back().block_lanes;
+}
+
+namespace detail
+{
+
+const std::vector<unsigned> &
+adaptiveWidths()
+{
+    static const std::vector<unsigned> widths = [] {
+        std::vector<unsigned> out;
+        for (const AdaptiveKernel &k : adaptiveKernels())
+            out.push_back(k.width);
+        return out;
+    }();
+    return widths;
+}
+
+std::size_t
+adaptiveBlockLanes(unsigned width)
+{
+    return adaptiveKernelAt(width).block_lanes;
+}
+
+void
+runAtWidth(const KernelBatch &batch, unsigned width,
+           const IntervalSet &set, std::size_t begin, std::size_t end,
+           bool with_active, AccumulatorBank &bank)
+{
+    batch.runAt(width, set, begin, end, with_active, bank);
+}
+
+} // namespace detail
 
 } // namespace lsim::replay::kernels

@@ -23,11 +23,22 @@
  * prediction from run to run, so its lanes cannot share a pass per
  * interval. Its kernel walks the stream in tiles of stream entries,
  * and within a tile small blocks of lanes hold their prediction and
- * accumulators in locals and step every run of every entry, in
- * stream order, with selects in place of the controller's branches.
- * It reads no order property of the stream (no binary search, no
- * skipping within an entry's count), so a time-ordered stream
- * replays through it unchanged.
+ * accumulators in vector registers and step every run of every
+ * entry, in stream order, with selects in place of the controller's
+ * branches. It reads no order property of the stream (no binary
+ * search, no skipping within an entry's count), so a time-ordered
+ * stream replays through it unchanged.
+ *
+ * The Adaptive block is one body built once per vector width: 2 x
+ * 128 bits (4 lanes; SSE2 or NEON, the only width off x86), 3 x 256
+ * bits (12 lanes, AVX2) and 2 x 512 bits (16 lanes, AVX-512F).
+ * KernelBatch::run takes the widest the CPU supports, asked once
+ * with __builtin_cpu_supports; no option or setting picks it, and
+ * every width yields the same bits. The engine groups Adaptive lanes
+ * one block per task (adaptiveBlockLanes()). Floating-point
+ * contraction is off in every width's body: a fused multiply-add
+ * (AVX-512F has one) would round the EWMA update
+ * `newest + keep * pred` once where the controller rounds twice.
  *
  * Bit-exactness contract: every kernel performs, per lane and per
  * accumulator field, the exact floating-point operation sequence of
@@ -56,6 +67,25 @@ struct IntervalSet;
 
 namespace kernels
 {
+
+class KernelBatch;
+struct AccumulatorBank;
+
+namespace detail
+{
+
+/**
+ * KernelBatch::run, with Adaptive replayed at @p width bits (one of
+ * adaptiveWidths(), else std::invalid_argument); every other kind
+ * runs exactly as in run(). For tests and bench_replay_perf, which
+ * check and time each width.
+ */
+void runAtWidth(const KernelBatch &batch, unsigned width,
+                const IntervalSet &set, std::size_t begin,
+                std::size_t end, bool with_active,
+                AccumulatorBank &bank);
+
+} // namespace detail
 
 /**
  * Struct-of-arrays CycleCounts accumulators: lane i of each array is
@@ -93,7 +123,8 @@ class KernelBatch
 
     /**
      * Append one configuration; @p spec must have a kernel and be of
-     * this batch's kind. @return the new lane index.
+     * this batch's kind, or std::invalid_argument is thrown and the
+     * batch is unchanged. @return the new lane index.
      */
     std::size_t addLane(const sleep::KernelSpec &spec);
 
@@ -104,13 +135,25 @@ class KernelBatch
      * Bit-exact to replaying the same range through a fresh
      * controller of this kind via activeRun()/idleRuns() in array
      * order — so Adaptive, whose prediction starts fresh here,
-     * matches only a whole-stream replay.
+     * matches only a whole-stream replay. Adaptive runs at the last
+     * of detail::adaptiveWidths(). Throws std::invalid_argument when
+     * @p bank does not have this batch's lane count.
      */
     void run(const IntervalSet &set, std::size_t begin,
              std::size_t end, bool with_active,
              AccumulatorBank &bank) const;
 
   private:
+    friend void detail::runAtWidth(const KernelBatch &, unsigned,
+                                   const IntervalSet &, std::size_t,
+                                   std::size_t, bool,
+                                   AccumulatorBank &);
+
+    /** run() with Adaptive at @p adaptive_width vector bits. */
+    void runAt(unsigned adaptive_width, const IntervalSet &set,
+               std::size_t begin, std::size_t end, bool with_active,
+               AccumulatorBank &bank) const;
+
     sleep::KernelSpec::Kind kind_;
     std::size_t lanes_ = 0;
 
@@ -131,6 +174,26 @@ class KernelBatch
     std::vector<std::vector<double>> weight_sets_;
     std::vector<std::vector<double>> prefix_sets_;
 };
+
+/** Lanes in one block of the Adaptive kernel KernelBatch::run
+ * uses: 4, 12 or 16 at 128, 256 or 512 bits. The engine groups
+ * Adaptive lanes in groups of this size. */
+std::size_t adaptiveBlockLanes();
+
+namespace detail
+{
+
+/** The vector widths, in bits, at which this build and CPU run the
+ * Adaptive kernel: 128 first, ascending. KernelBatch::run uses the
+ * last. Tests and bench_replay_perf read this; nothing selects a
+ * width but the CPU. */
+const std::vector<unsigned> &adaptiveWidths();
+
+/** Lanes in one Adaptive block at @p width bits (one of
+ * adaptiveWidths(), else std::invalid_argument). */
+std::size_t adaptiveBlockLanes(unsigned width);
+
+} // namespace detail
 
 } // namespace kernels
 

@@ -1,6 +1,5 @@
 #include "sleep/policy_registry.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -15,28 +14,6 @@ namespace lsim::sleep
 
 namespace
 {
-
-/** Round the technology breakeven to a usable slice count (>= 1). */
-unsigned
-breakevenCycles(const energy::ModelParams &params)
-{
-    const double be = energy::breakevenInterval(params);
-    if (!std::isfinite(be))
-        return 1;
-    return std::max(1u, static_cast<unsigned>(std::llround(be)));
-}
-
-/**
- * Breakeven as a timeout: an infinite breakeven (sleep never pays
- * off) maps to an effectively-never timeout rather than 1.
- */
-Cycle
-breakevenTimeout(const energy::ModelParams &params)
-{
-    const double be = energy::breakevenInterval(params);
-    return std::isfinite(be) ? static_cast<Cycle>(std::llround(be))
-                             : Cycle{1} << 20;
-}
 
 [[noreturn]] void
 badArg(const std::string &key, const std::string &arg,
@@ -127,7 +104,7 @@ PolicyRegistry::PolicyRegistry()
                   const std::string &arg) {
             KernelSpec spec;
             spec.kind = KernelSpec::Kind::Gradual;
-            spec.slices = arg.empty() ? breakevenCycles(params)
+            spec.slices = arg.empty() ? energy::breakevenSlices(params)
                                       : parseCount("gradual", arg);
             return spec;
         }));
@@ -150,7 +127,7 @@ PolicyRegistry::PolicyRegistry()
                   const std::string &arg) {
             KernelSpec spec;
             spec.kind = KernelSpec::Kind::Timeout;
-            spec.timeout = arg.empty() ? breakevenTimeout(params)
+            spec.timeout = arg.empty() ? energy::breakevenTimeout(params)
                                        : parseCount("timeout", arg);
             return spec;
         }));

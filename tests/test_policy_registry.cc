@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "energy/breakeven.hh"
+#include "energy/gradual_sleep_model.hh"
 #include "sleep/policy_registry.hh"
 
 namespace
@@ -153,6 +155,50 @@ TEST(PolicyRegistry, DefaultsFollowTheTechnologyPoint)
         PolicyRegistry::instance().make("oracle", mp);
     EXPECT_DOUBLE_EQ(
         dynamic_cast<OracleController &>(*oracle).breakeven(), be);
+}
+
+TEST(PolicyRegistry, HugeBreakevensSaturateInsteadOfWrapping)
+{
+    const auto &reg = PolicyRegistry::instance();
+    const auto slices = [&](double p) {
+        return dynamic_cast<GradualSleepController &>(
+                   *reg.make("gradual", params(p)))
+            .numSlices();
+    };
+    const auto timeout = [&](double p) {
+        return dynamic_cast<TimeoutController &>(
+                   *reg.make("timeout", params(p)))
+            .timeout();
+    };
+    constexpr unsigned kMaxSlices = std::numeric_limits<unsigned>::max();
+    constexpr lsim::Cycle kMaxCycle =
+        std::numeric_limits<lsim::Cycle>::max();
+
+    // An ordinary point rounds as before.
+    EXPECT_EQ(slices(0.05), 20u);
+    EXPECT_EQ(timeout(0.05), 20u);
+
+    // p = 1e-10: a breakeven of ~1.02e10 cycles is past 2^32, so the
+    // slice count saturates (it used to wrap to 1,620,275,618); the
+    // timeout still fits and rounds.
+    const double be10 = lsim::energy::breakevenInterval(params(1e-10));
+    ASSERT_GT(be10, static_cast<double>(kMaxSlices));
+    EXPECT_EQ(slices(1e-10), kMaxSlices);
+    EXPECT_EQ(timeout(1e-10),
+              static_cast<lsim::Cycle>(std::llround(be10)));
+
+    // p = 1e-300: ~1.02e300 cycles, past llround's range. Gradual
+    // used to fall to one slice (MaxSleep), the timeout to 2^63.
+    EXPECT_EQ(slices(1e-300), kMaxSlices);
+    EXPECT_EQ(timeout(1e-300), kMaxCycle);
+
+    // The analytic model rounds through the same function.
+    EXPECT_EQ(lsim::energy::GradualSleepModel(params(1e-10)).numSlices(),
+              kMaxSlices);
+
+    // An infinite breakeven keeps its own mapping.
+    EXPECT_EQ(slices(0.0), 1u);
+    EXPECT_EQ(timeout(0.0), lsim::Cycle{1} << 20);
 }
 
 TEST(PolicyRegistry, ParameterizedArgumentsConfigure)

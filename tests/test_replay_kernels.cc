@@ -5,16 +5,21 @@
  * merely close — to the virtual-dispatch controllers for every
  * registry policy spec, including argument variants; the Adaptive
  * kernel must also match its controller on a stream in no
- * particular order; unknown policies must transparently fall back;
- * and a moved-from engine must refuse to replay.
+ * particular order, at every vector width this host runs and every
+ * lane count up to two blocks; misuse of a batch must throw; unknown
+ * policies must transparently fall back; and a moved-from engine
+ * must refuse to replay.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -181,52 +186,255 @@ TEST(ReplayKernels, RandomizedSetsMatchVirtualBitExactly)
     }
 }
 
+/** @p lanes' counts after replaying @p set whole into fresh
+ * controllers, in stream order: the Adaptive kernel's reference. */
+std::vector<energy::CycleCounts>
+adaptiveReference(const replay::IntervalSet &set,
+                  const std::vector<std::pair<double, double>> &lanes)
+{
+    std::vector<energy::CycleCounts> out;
+    for (const auto &[breakeven, weight] : lanes) {
+        sleep::AdaptiveController ctrl(breakeven, weight);
+        ctrl.activeRun(set.active_cycles);
+        for (std::size_t i = 0; i < set.numDistinct(); ++i)
+            ctrl.idleRuns(set.lengths[i], set.counts[i]);
+        out.push_back(ctrl.counts());
+    }
+    return out;
+}
+
+/** @p set replayed whole through one Adaptive batch of @p lanes at
+ * @p width bits, checked lane by lane against @p expected. */
+void
+expectAdaptiveAtWidth(const replay::IntervalSet &set,
+                      const std::vector<std::pair<double, double>> &lanes,
+                      const std::vector<energy::CycleCounts> &expected,
+                      unsigned width)
+{
+    replay::kernels::KernelBatch batch(sleep::KernelSpec::Kind::Adaptive);
+    for (const auto &[breakeven, weight] : lanes)
+        batch.addLane(sleep::AdaptiveController(breakeven, weight)
+                          .kernelSpec());
+    replay::kernels::AccumulatorBank bank;
+    bank.resize(batch.lanes());
+    replay::kernels::detail::runAtWidth(batch, width, set, 0,
+                                        set.numDistinct(), true, bank);
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+        SCOPED_TRACE("lane " + std::to_string(lane));
+        const energy::CycleCounts got = bank.counts(lane);
+        EXPECT_EQ(got.active, expected[lane].active);
+        EXPECT_EQ(got.unctrl_idle, expected[lane].unctrl_idle);
+        EXPECT_EQ(got.sleep, expected[lane].sleep);
+        EXPECT_EQ(got.transitions, expected[lane].transitions);
+    }
+}
+
+/** @p entries shuffled lengths in [1, 300], most with one run: the
+ * shape of a time-ordered stream. */
+replay::IntervalSet
+shuffledStream(std::uint64_t seed, int entries)
+{
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<Cycle> len(1, 300);
+    std::uniform_int_distribution<std::uint64_t> cnt(1, 4);
+    replay::IntervalSet set;
+    set.active_cycles = 123'457;
+    for (int i = 0; i < entries; ++i) {
+        set.lengths.push_back(len(rng));
+        set.counts.push_back(i % 5 == 0 ? cnt(rng) : 1);
+        set.idle_cycles += set.lengths.back() * set.counts.back();
+    }
+    return set;
+}
+
+/** The widths this host runs, printed once so a CI log shows when a
+ * runner lacked a wide vector unit. */
+const std::vector<unsigned> &
+testedWidths()
+{
+    const auto &widths = replay::kernels::detail::adaptiveWidths();
+    static const bool printed = [&] {
+        std::string list;
+        for (unsigned w : widths)
+            list += " " + std::to_string(w);
+        std::printf("[  widths  ] Adaptive kernel tested at%s bits\n",
+                    list.c_str());
+        return true;
+    }();
+    (void)printed;
+    return widths;
+}
+
+TEST(ReplayKernels, AdaptiveWidthsAscendFrom128AndRunUsesTheLast)
+{
+    const auto &widths = testedWidths();
+    ASSERT_FALSE(widths.empty());
+    EXPECT_EQ(widths.front(), 128u);
+    EXPECT_TRUE(std::is_sorted(widths.begin(), widths.end()));
+    EXPECT_EQ(std::adjacent_find(widths.begin(), widths.end()),
+              widths.end());
+    // KernelBatch::run, and the engine's Adaptive groups, take the
+    // widest block.
+    EXPECT_EQ(replay::kernels::adaptiveBlockLanes(),
+              replay::kernels::detail::adaptiveBlockLanes(widths.back()));
+    for (unsigned w : widths)
+        EXPECT_GE(replay::kernels::detail::adaptiveBlockLanes(w), 4u);
+
+    // A width this build or CPU does not run is refused.
+    replay::kernels::KernelBatch batch(sleep::KernelSpec::Kind::Adaptive);
+    batch.addLane(sleep::AdaptiveController(10.0, 0.25).kernelSpec());
+    replay::kernels::AccumulatorBank bank;
+    bank.resize(1);
+    const replay::IntervalSet set = shuffledStream(1, 10);
+    EXPECT_THROW(replay::kernels::detail::runAtWidth(
+                     batch, 64, set, 0, set.numDistinct(), true, bank),
+                 std::invalid_argument);
+    EXPECT_THROW(replay::kernels::detail::adaptiveBlockLanes(1024),
+                 std::invalid_argument);
+}
+
 TEST(ReplayKernels, AdaptiveMatchesControllerInAnyStreamOrder)
 {
     // The Adaptive kernel reads no order property of the stream: on
     // lengths in shuffled order (the shape of a time-ordered stream)
     // every lane must equal an AdaptiveController fed the same runs
-    // in the same order. Seven lanes leave a partial lane block, and
-    // 3,000 entries span three tiles.
-    std::mt19937_64 rng(2202);
-    std::uniform_int_distribution<Cycle> len(1, 300);
-    std::uniform_int_distribution<std::uint64_t> cnt(1, 4);
-    replay::IntervalSet set;
-    set.active_cycles = 123'457;
-    for (int i = 0; i < 3000; ++i) {
-        set.lengths.push_back(len(rng));
-        set.counts.push_back(i % 5 == 0 ? cnt(rng) : 1);
-        set.idle_cycles += set.lengths.back() * set.counts.back();
-    }
+    // in the same order, at every vector width. Seven lanes leave a
+    // partial lane block, and 3,000 entries span three tiles.
+    const replay::IntervalSet set = shuffledStream(2202, 3000);
     ASSERT_FALSE(std::is_sorted(set.lengths.begin(), set.lengths.end()));
 
-    const std::pair<double, double> configs[] = {
+    const std::vector<std::pair<double, double>> lanes = {
         {2.5, 0.25}, {17.3, 0.25}, {40.0, 0.5}, {99.9, 1.0},
         {250.0, 0.1}, {1e6, 0.25},
         {std::numeric_limits<double>::infinity(), 0.25}};
-    replay::kernels::KernelBatch batch(sleep::KernelSpec::Kind::Adaptive);
-    std::vector<sleep::AdaptiveController> controllers;
-    for (const auto &[breakeven, weight] : configs) {
-        batch.addLane(sleep::AdaptiveController(breakeven, weight)
-                          .kernelSpec());
-        controllers.emplace_back(breakeven, weight);
+    const auto expected = adaptiveReference(set, lanes);
+    for (unsigned width : testedWidths()) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        expectAdaptiveAtWidth(set, lanes, expected, width);
     }
-    replay::kernels::AccumulatorBank bank;
-    bank.resize(batch.lanes());
-    batch.run(set, 0, set.numDistinct(), true, bank);
+}
 
-    for (std::size_t lane = 0; lane < controllers.size(); ++lane) {
-        SCOPED_TRACE("lane " + std::to_string(lane));
-        sleep::AdaptiveController &ctrl = controllers[lane];
-        ctrl.activeRun(set.active_cycles);
-        for (std::size_t i = 0; i < set.numDistinct(); ++i)
-            ctrl.idleRuns(set.lengths[i], set.counts[i]);
-        const energy::CycleCounts got = bank.counts(lane);
-        EXPECT_EQ(got.active, ctrl.counts().active);
-        EXPECT_EQ(got.unctrl_idle, ctrl.counts().unctrl_idle);
-        EXPECT_EQ(got.sleep, ctrl.counts().sleep);
-        EXPECT_EQ(got.transitions, ctrl.counts().transitions);
+TEST(ReplayKernels, AdaptiveEveryLaneCountMatchesAtEveryWidth)
+{
+    // Every lane count from one to two blocks of the widest shape
+    // plus one, so each width sees whole blocks, partial last blocks
+    // and single lanes. The lanes rotate through infinite
+    // breakevens, breakevens below one cycle and the 34 breakevens
+    // of warm_grid's p sweep, under four EWMA weights.
+    const replay::IntervalSet set = shuffledStream(4242, 1500);
+    std::vector<std::pair<double, double>> configs = {
+        {std::numeric_limits<double>::infinity(), 0.25},
+        {0.25, 0.5},
+        {0.5, 0.25},
+        {0.999, 1.0}};
+    const double weights[] = {0.25, 0.1, 0.5, 1.0};
+    for (const auto &mp : api::pSweep(0.05, 1.0, 34))
+        configs.emplace_back(energy::breakevenInterval(mp),
+                             weights[configs.size() % 4]);
+    const auto reference = adaptiveReference(set, configs);
+
+    const auto &widths = testedWidths();
+    const std::size_t max_lanes =
+        2 * replay::kernels::detail::adaptiveBlockLanes(widths.back()) +
+        1;
+    for (std::size_t n = 1; n <= max_lanes; ++n) {
+        std::vector<std::pair<double, double>> lanes;
+        std::vector<energy::CycleCounts> expected;
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::size_t c = (n + j) % configs.size();
+            lanes.push_back(configs[c]);
+            expected.push_back(reference[c]);
+        }
+        for (unsigned width : widths) {
+            SCOPED_TRACE("lanes " + std::to_string(n) + ", width " +
+                         std::to_string(width));
+            expectAdaptiveAtWidth(set, lanes, expected, width);
+        }
     }
+}
+
+TEST(ReplayKernels, AdaptiveRoundsTheEwmaUpdateTwiceAtEveryWidth)
+{
+    // AdaptiveController rounds `newest + keep * pred` twice. Each
+    // case below starts from pred = breakeven, and its first run
+    // leaves the prediction one ulp on one side of the breakeven
+    // with two roundings and on the other side with one (a fused
+    // multiply-add), so the second run's decision flips. Every lane
+    // of two widest blocks plus one carries the case.
+    struct Case
+    {
+        Cycle first;
+        double breakeven;
+        double weight;
+        bool second_sleeps; ///< with two roundings
+    };
+    double be9 = 9.0; // 9 + 4 ulps
+    for (int i = 0; i < 4; ++i)
+        be9 = std::nextafter(be9, 10.0);
+    const Case cases[] = {{3, 3.0, 0.05, false}, {9, be9, 0.2, true}};
+
+    const auto &widths = testedWidths();
+    const std::size_t lanes_n =
+        2 * replay::kernels::detail::adaptiveBlockLanes(widths.back()) +
+        1;
+    for (const Case &c : cases) {
+        SCOPED_TRACE("first run " + std::to_string(c.first));
+        replay::IntervalSet set;
+        set.lengths = {c.first, 1000};
+        set.counts = {1, 1};
+        set.idle_cycles = c.first + 1000;
+        const std::vector<std::pair<double, double>> lanes(
+            lanes_n, {c.breakeven, c.weight});
+        const auto expected = adaptiveReference(set, lanes);
+        // The first run sleeps (pred starts at the breakeven); a
+        // short second run idles until the breakeven.
+        EXPECT_EQ(expected[0].unctrl_idle,
+                  c.second_sleeps ? 0.0 : c.breakeven);
+        for (unsigned width : widths) {
+            SCOPED_TRACE("width " + std::to_string(width));
+            expectAdaptiveAtWidth(set, lanes, expected, width);
+        }
+    }
+}
+
+TEST(ReplayKernels, MisuseThrowsAndLeavesTheBatchUnchanged)
+{
+    using Kind = sleep::KernelSpec::Kind;
+    sleep::KernelSpec timeout;
+    timeout.kind = Kind::Timeout;
+    timeout.timeout = 64;
+
+    // A spec of another kind.
+    replay::kernels::KernelBatch gradual(Kind::Gradual);
+    EXPECT_THROW(gradual.addLane(timeout), std::invalid_argument);
+    // Gradual with no slices.
+    sleep::KernelSpec no_slices;
+    no_slices.kind = Kind::Gradual;
+    EXPECT_THROW(gradual.addLane(no_slices), std::invalid_argument);
+    EXPECT_EQ(gradual.lanes(), 0u);
+
+    // Weighted-gradual without weights.
+    replay::kernels::KernelBatch weighted(Kind::WeightedGradual);
+    sleep::KernelSpec no_weights;
+    no_weights.kind = Kind::WeightedGradual;
+    EXPECT_THROW(weighted.addLane(no_weights), std::invalid_argument);
+    EXPECT_EQ(weighted.lanes(), 0u);
+
+    // Kind::None has no kernel.
+    replay::kernels::KernelBatch none(Kind::None);
+    EXPECT_THROW(none.addLane(sleep::KernelSpec{}),
+                 std::invalid_argument);
+    EXPECT_EQ(none.lanes(), 0u);
+
+    // A bank whose lane count is not the batch's.
+    replay::kernels::KernelBatch timeouts(Kind::Timeout);
+    timeouts.addLane(timeout);
+    replay::kernels::AccumulatorBank bank;
+    bank.resize(2);
+    const replay::IntervalSet set = shuffledStream(3, 10);
+    EXPECT_THROW(timeouts.run(set, 0, set.numDistinct(), true, bank),
+                 std::invalid_argument);
+    EXPECT_EQ(bank.active, std::vector<double>(2, 0.0));
 }
 
 TEST(ReplayKernels, RandomizedSetsMatchScalarBitExactly)
@@ -326,8 +534,10 @@ TEST(ReplayKernels, WarmGridPoliciesFullyKernelize)
         kWarmGridPolicies);
     EXPECT_EQ(engine.numKernelUnits(), engine.numUnits());
     // Six history-free groups, plus 34 adaptive lanes in groups of
-    // up to eight: one whole-stream task each.
-    EXPECT_EQ(engine.numKernelGroups(), 6u + 5u);
+    // one kernel block: one whole-stream task each.
+    const std::size_t block = replay::kernels::adaptiveBlockLanes();
+    EXPECT_EQ(engine.numKernelGroups(),
+              6u + (points.size() + block - 1) / block);
 }
 
 TEST(ReplayKernels, OnlyUnknownPoliciesFallBack)

@@ -18,10 +18,13 @@ drops below R. Serve warm latency is additionally guarded by
 --warm-ms-ceiling: the relative gate only fires when the absolute
 latency also exceeds the ceiling, so CI-runner noise on a
 sub-millisecond path cannot flake the job. O3 core throughput (the
-"core" block, Minst/s per benchmark) and sweep render time (the
-"render" block, ms per CSV and JSON render) are diffed and charted
-but never gated. Files written by older bench versions simply lack the newer
-metrics and are compared on what they have.
+"core" block, Minst/s per benchmark), sweep render time (the
+"render" block, ms per CSV and JSON render) and the Adaptive kernel
+per vector width (the "adaptive_widths" block, ms and million
+lane-steps/s per width) are diffed and charted but never gated.
+Files written by older bench versions simply lack the newer metrics
+and are compared on what they have; a width the runner's CPU lacks is
+simply absent.
 
 History mode accumulates per-commit records and renders a
 standalone HTML/SVG trend page (no JS, no external assets):
@@ -103,6 +106,17 @@ def metrics(doc):
         # Report-only, like the core block.
         out[("render", "csv_ms")] = render.get("csv_ms")
         out[("render", "json_ms")] = render.get("json_ms")
+    widths = doc.get("adaptive_widths")
+    if widths:
+        # Single-thread Adaptive kernel per vector width: ms (lower
+        # is better) and million lane-steps/s (higher is better).
+        # Report-only, like the core block.
+        for entry in widths.get("widths", []):
+            label = f"{entry['width']}bit"
+            out[(label, "adaptive_ms")] = entry.get("ms")
+            steps = entry.get("lane_steps_per_s")
+            out[(label, "adaptive_mlane_steps_per_s")] = \
+                steps / 1e6 if steps is not None else None
     return {k: v for k, v in out.items() if v is not None}
 
 
@@ -121,7 +135,7 @@ GATED = (("8pt", "speedup"), ("20pt", "speedup"),
 # inverted (first/last) so < 1 still means "regressed".
 LOWER_IS_BETTER = frozenset({"warm_request_ms", "cold_request_ms",
                              "socket_warm_request_ms", "csv_ms",
-                             "json_ms"})
+                             "json_ms", "adaptive_ms"})
 
 
 def quality_ratio(key, first, last):
@@ -273,6 +287,8 @@ def render_html(records, out_path):
                            for _, snap in records])
                    for name in ("csv_ms", "json_ms")],
                   x_labels),
+        svg_chart("Adaptive kernel by vector width", " ms",
+                  series_for("adaptive_ms"), x_labels),
     ]
     body = "\n".join(c for c in charts if c)
     page = f"""<!DOCTYPE html>
@@ -295,8 +311,8 @@ def render_html(records, out_path):
 <h1>lsim replay perf trend</h1>
 <p>{len(records)} record(s), oldest first:
 {html.escape(x_labels[0])} &rarr; {html.escape(x_labels[-1])}.
-Speedups and core throughput: higher is better. Latency and render
-time: lower is better.</p>
+Speedups and core throughput: higher is better. Latency, render
+time and Adaptive kernel time: lower is better.</p>
 {body}
 </body>
 </html>
