@@ -39,7 +39,12 @@
  *     sweep shaped like one of perfbench's warm_grid sweeps (the
  *     nine Table 3 benchmarks x 34 points x its seven policies, at
  *     insts), median of kRenderReps; the sweep itself is set-up,
- *     off the clock. Reported and recorded; not gated.
+ *     off the clock. Beside them, the formatter alone: how many
+ *     number tokens the two renders hold (a point's four CSV
+ *     numbers count once per row, the JSON's integer counters
+ *     count too) and appendNumber's median time per number over
+ *     them, each of which must format back to its own bytes.
+ *     Reported and recorded; not gated.
  *  7. Adaptive widths — the Adaptive lane kernel alone, one thread,
  *     at every vector width this build and CPU run
  *     (replay::kernels::detail::adaptiveWidths()), over the render
@@ -77,6 +82,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -527,6 +533,8 @@ struct RenderResult
     std::size_t json_bytes = 0;
     double csv_ms = 0.0;  ///< median over kRenderReps renders
     double json_ms = 0.0; ///< median over kRenderReps renders
+    std::size_t numbers = 0;    ///< number tokens in both renders
+    double ns_per_number = 0.0; ///< median over kRenderReps passes
 };
 
 constexpr int kRenderReps = 9;
@@ -553,13 +561,54 @@ warmGridSweep(std::uint64_t insts, std::uint64_t seed)
     return api::SweepRunner(cfg).run();
 }
 
-/** Serial CSV and JSON render time of @p sweep (see the file
- * comment, dimension 6). */
+/**
+ * Append the number tokens of @p text to @p out: the runs between
+ * @p separators, outside double quotes, that parse whole as a
+ * double. Each must format back to its own bytes, or the bench
+ * fatal()s.
+ */
+void
+collectNumbers(const std::string &text, const char *separators,
+               std::vector<double> &out)
+{
+    std::size_t i = 0;
+    while (i < text.size()) {
+        if (text[i] == '"') {
+            // A JSON string (escapes skipped) or a quoted CSV cell,
+            // whose "" escape reads as two strings.
+            for (++i; i < text.size() && text[i] != '"'; ++i)
+                if (text[i] == '\\')
+                    ++i;
+            ++i;
+            continue;
+        }
+        const std::size_t end =
+            std::min(text.find_first_of(separators, i), text.size());
+        if (end == i) {
+            ++i;
+            continue;
+        }
+        const std::string token = text.substr(i, end - i);
+        char *parsed = nullptr;
+        const double value = std::strtod(token.c_str(), &parsed);
+        if (parsed == token.c_str() + token.size()) {
+            if (compactNumber(value) != token)
+                fatal("render: '%s' formats back as '%s'",
+                      token.c_str(), compactNumber(value).c_str());
+            out.push_back(value);
+        }
+        i = end;
+    }
+}
+
+/** Serial CSV and JSON render time of @p sweep, and appendNumber's
+ * time per number over the numbers the two renders hold (see the
+ * file comment, dimension 6). */
 RenderResult
 measureRender(const api::SweepResult &sweep)
 {
     RenderResult out;
-    std::vector<double> csv_ms, json_ms;
+    std::vector<double> csv_ms, json_ms, number_ns;
     const auto elapsedMs = [](auto &&render) {
         const auto start = std::chrono::steady_clock::now();
         render();
@@ -573,10 +622,29 @@ measureRender(const api::SweepResult &sweep)
         json_ms.push_back(elapsedMs(
             [&] { out.json_bytes = sweep.toJson().size(); }));
     }
+
+    std::vector<double> numbers;
+    collectNumbers(sweep.toCsv(), ",\n", numbers);
+    collectNumbers(sweep.toJson(), ",:[]{} \n", numbers);
+    out.numbers = numbers.size();
+    std::string text;
+    for (int rep = 0; rep < kRenderReps && !numbers.empty(); ++rep) {
+        text.clear();
+        const double ms = elapsedMs([&] {
+            for (const double v : numbers)
+                appendNumber(text, v);
+        });
+        number_ns.push_back(ms * 1e6 /
+                            static_cast<double>(numbers.size()));
+    }
+
     std::sort(csv_ms.begin(), csv_ms.end());
     std::sort(json_ms.begin(), json_ms.end());
+    std::sort(number_ns.begin(), number_ns.end());
     out.csv_ms = csv_ms[kRenderReps / 2];
     out.json_ms = json_ms[kRenderReps / 2];
+    if (!number_ns.empty())
+        out.ns_per_number = number_ns[number_ns.size() / 2];
     return out;
 }
 
@@ -782,6 +850,9 @@ main(int argc, char **argv)
                  "policies, serial, median of "
               << kRenderReps << "):\n";
     trender.print(std::cout);
+    std::cout << "appendNumber over the " << render.numbers
+              << " numbers of both renders: "
+              << fixed(render.ns_per_number, 1) << " ns/number\n";
 
     Table twidth({"width", "block lanes", "ms", "Mlane-steps/s"});
     for (const auto &w : widths)
@@ -893,6 +964,8 @@ main(int argc, char **argv)
         w.field("csv_mb_per_s", mbPerS(render.csv_bytes, render.csv_ms));
         w.field("json_mb_per_s",
                 mbPerS(render.json_bytes, render.json_ms));
+        w.field("numbers", static_cast<std::uint64_t>(render.numbers));
+        w.field("ns_per_number", render.ns_per_number);
         w.endObject();
         // Report-only: no gate reads this block.
         w.beginObject("adaptive_widths");

@@ -7,11 +7,19 @@
  *
  * appendNumber() is the one number format of CSV and JSON emission
  * and of policy-spec encoding (compactNumber() wraps it): printf's
- * %.12g, byte for byte. Integer-valued doubles below 1e12 in
- * magnitude, -0 aside, take an integer to_chars path; %.12g prints
- * exactly those values as plain integers, so its bytes are the same
- * (Format.CompactNumberMatchesPrintf covers that domain and its
- * edges).
+ * %.12g, byte for byte. Which path formats a value depends on the
+ * value alone:
+ *  - integer-valued doubles below 1e12 in magnitude, -0 aside, take
+ *    integer to_chars; %.12g prints exactly those values as plain
+ *    integers;
+ *  - the other magnitudes in [1e-10, 1e12) are scaled to twelve
+ *    digits in exact 128-bit integer arithmetic and rounded half to
+ *    even on the exact remainder, as printf rounds;
+ *  - the rest (zero, -0, subnormals, the far magnitudes, inf, NaN)
+ *    take std::to_chars' general format at precision 12, which the
+ *    standard defines as %.12g.
+ * Format.CompactNumberMatchesPrintf compares each path and its
+ * edges with snprintf.
  */
 
 #ifndef LSIM_COMMON_TABLE_HH

@@ -368,13 +368,13 @@ Daemon::admitSpool(const std::string &spec_name)
     QueuedRequest qr;
     qr.name = stem;
     qr.spec_file = spec_name;
-    qr.spec_text = readFileText(req.work_path);
     qr.ingress = Ingress::Spool;
     qr.queued_at = req.queued_at;
     qr.admitted = admitted;
     try {
-        qr.fingerprint = api::batchFingerprint(
-            batchConfigFromJson(parseJson(qr.spec_text)));
+        qr.batch = batchConfigFromJson(
+            parseJson(readFileText(req.work_path)));
+        qr.fingerprint = api::batchFingerprint(qr.batch);
     } catch (const std::exception &err) {
         // Malformed specs fail at the door, before they cost a
         // queue slot: error status, spec to failed/.
@@ -476,13 +476,12 @@ Daemon::submitRequest(const std::string &name,
 
     QueuedRequest qr;
     qr.name = name;
-    qr.spec_text = spec_text;
     qr.priority = priority;
     qr.ingress = Ingress::Socket;
     qr.admitted = std::chrono::steady_clock::now();
     try {
-        qr.fingerprint = api::batchFingerprint(
-            batchConfigFromJson(parseJson(spec_text)));
+        qr.batch = batchConfigFromJson(parseJson(spec_text));
+        qr.fingerprint = api::batchFingerprint(qr.batch);
     } catch (const std::exception &err) {
         return reject(err.what(), false);
     }
@@ -658,10 +657,10 @@ Daemon::execute(const QueuedRequest &qr)
 
     api::BatchResult result;
     try {
-        api::BatchConfig batch =
-            batchConfigFromJson(parseJson(qr.spec_text));
-        // Execution parameters come from the daemon, not the spec:
-        // every request shares the daemon's store and pool.
+        // The spec was parsed once, at admission. Execution
+        // parameters come from the daemon, not the spec: every
+        // request shares the daemon's store and pool.
+        api::BatchConfig batch = qr.batch;
         batch.cache_dir = config_.cache_dir;
         api::BatchRunner runner(std::move(batch));
 
@@ -706,41 +705,61 @@ Daemon::execute(const QueuedRequest &qr)
     }
 
     // Render once; the primary and every follower get these bytes.
-    // The pool is idle once the batch returns, so each sweep's JSON
-    // (task s) and CSV (task S + s) render as index-addressed tasks
-    // into their own slots. The pool claims tasks in index order, so
-    // the JSON renders, several times longer than the CSV ones,
-    // start first and the short tasks fill in behind them.
+    // The pool is idle once the batch returns, so each result file
+    // renders as an index-addressed task into its own slot: task s
+    // is sweep s's JSON and task S + s its CSV. The pool claims tasks
+    // in index order, so the JSON renders, several times longer than
+    // the CSV ones, start first and the short tasks fill in behind
+    // them. Each task writes the primary's copy of its file as soon
+    // as it is rendered.
     const std::size_t num_sweeps = result.sweeps.size();
-    std::vector<std::pair<std::string, std::string>> rendered(
-        num_sweeps);
+    const std::size_t num_files = 2 * num_sweeps;
+    std::vector<std::string> files(num_files);
+    const auto writeFile = [&](const std::string &dir,
+                               std::size_t t) -> bool {
+        obs::TraceSpan deliver_span("serve.deliver", "serve");
+        const std::string name =
+            "sweep_" + std::to_string(t % num_sweeps) +
+            (t < num_sweeps ? ".json" : ".csv");
+        return !LSIM_FAULT("serve.deliver") &&
+               atomicWriteFile((fs::path(dir) / name).string(),
+                               files[t]);
+    };
+    struct Write
+    {
+        bool ok = false;
+        double ms = 0.0;
+    };
+    std::vector<Write> writes(num_files);
     {
         obs::TraceSpan render_span("serve.render", "serve");
         obs::ScopedTimerMs timer(obs::histogram("serve.render_ms"));
-        pool_.run(2 * num_sweeps, [&](std::size_t t) {
-            if (t < num_sweeps)
-                rendered[t].second = result.sweeps[t].toJson();
-            else
-                rendered[t - num_sweeps].first =
-                    result.sweeps[t - num_sweeps].toCsv();
+        pool_.run(num_files, [&](std::size_t t) {
+            const api::SweepResult &sweep =
+                result.sweeps[t % num_sweeps];
+            files[t] = t < num_sweeps ? sweep.toJson() : sweep.toCsv();
+            const auto write_start = std::chrono::steady_clock::now();
+            writes[t].ok = writeFile(req.result_dir, t);
+            writes[t].ms = msSince(write_start);
         });
     }
+    // One observation per executed request: the primary's summed
+    // write time.
+    double deliver_ms = 0.0;
+    bool written = true;
+    for (const Write &w : writes) {
+        deliver_ms += w.ms;
+        written = written && w.ok;
+    }
+    obs::histogram("serve.deliver_ms").observe(deliver_ms);
 
     req.sweeps = num_sweeps;
     req.stats = result.stats;
 
     const auto writeResults = [&](const std::string &dir) -> bool {
-        for (std::size_t i = 0; i < num_sweeps; ++i) {
-            const std::string stem_i =
-                (fs::path(dir) / ("sweep_" + std::to_string(i)))
-                    .string();
-            if (LSIM_FAULT("serve.deliver") ||
-                !atomicWriteFile(stem_i + ".csv",
-                                 rendered[i].first) ||
-                !atomicWriteFile(stem_i + ".json",
-                                 rendered[i].second))
+        for (std::size_t t = 0; t < num_files; ++t)
+            if (!writeFile(dir, t))
                 return false;
-        }
         return true;
     };
     const auto deliver = [&](Request &r, const QueuedRequest &origin,
@@ -778,12 +797,6 @@ Daemon::execute(const QueuedRequest &qr)
         return true;
     };
 
-    bool written = false;
-    {
-        obs::TraceSpan deliver_span("serve.deliver", "serve");
-        obs::ScopedTimerMs timer(obs::histogram("serve.deliver_ms"));
-        written = writeResults(req.result_dir);
-    }
     if (!deliver(req, qr, written)) {
         // The primary's failure fails its followers too — their
         // promise was "the primary's results".

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "api/batch.hh"
 #include "common/mutex.hh"
 #include "common/thread_annotations.hh"
 
@@ -59,8 +60,8 @@ struct QueuedRequest
 {
     std::string name;        ///< request name (results dir stem)
     std::string spec_file;   ///< spool filename; empty for socket
-    std::string spec_text;   ///< raw batch-spec JSON
-    std::string fingerprint; ///< request-tier identity
+    api::BatchConfig batch;  ///< the spec, parsed at admission
+    std::string fingerprint; ///< request-tier identity of batch
     int priority = 0;        ///< higher pops first
     Ingress ingress = Ingress::Spool;
     std::uint64_t seq = 0;   ///< admission order (FIFO tiebreak)

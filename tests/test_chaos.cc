@@ -213,6 +213,57 @@ TEST_F(ChaosTest, LostDeliveryFailsTheRequestNotTheDaemon)
     EXPECT_EQ(stateOf(daemon.waitFor("after", 10.0)), "done");
 }
 
+TEST_F(ChaosTest, PartlyLostDeliveryLeavesNoResultFiles)
+{
+    const std::string spool = freshDir("partial_delivery");
+    ServeConfig cfg = chaosConfig(spool);
+    cfg.once = true;
+    Daemon daemon(cfg);
+
+    // Two sweeps make four result files, written by four pool tasks
+    // as each finishes rendering. The first write to consult the
+    // point lands on disk; the other three fail.
+    constexpr const char *kTwoSweeps =
+        R"({"sweeps": [{"benchmarks": ["gcc"], "steps": 2,
+                        "insts": 20000},
+                       {"benchmarks": ["gcc"], "steps": 3,
+                        "insts": 20000, "policies": ["max-sleep"]}]})";
+    fault::configure("serve.deliver:after=1");
+    ASSERT_TRUE(socketSubmit(daemon.socketPath(), "partial",
+                             kTwoSweeps, 0, false, 30.0)
+                    .ok);
+    daemon.drainOnce();
+    EXPECT_EQ(fault::hits("serve.deliver"), 4u);
+    EXPECT_EQ(fault::fired("serve.deliver"), 3u);
+
+    const std::string line = daemon.waitFor("partial", 10.0);
+    EXPECT_EQ(stateOf(line), "error");
+    EXPECT_NE(parseJson(line).at("error").asString().find(
+                  "cannot write results"),
+              std::string::npos)
+        << line;
+
+    // The file that was written is gone again, and no temp file of
+    // a parallel write is left: only the status remains.
+    std::vector<std::string> left;
+    for (const auto &de : fs::directory_iterator(
+             fs::path(daemon.resultsDir()) / "partial"))
+        left.push_back(de.path().filename().string());
+    EXPECT_EQ(left, std::vector<std::string>{"status.json"});
+
+    fault::reset();
+    ASSERT_TRUE(socketSubmit(daemon.socketPath(), "whole", kTwoSweeps,
+                             0, false, 30.0)
+                    .ok);
+    daemon.drainOnce();
+    EXPECT_EQ(stateOf(daemon.waitFor("whole", 10.0)), "done");
+    for (const char *file : {"sweep_0.csv", "sweep_0.json",
+                             "sweep_1.csv", "sweep_1.json"})
+        EXPECT_TRUE(fs::exists(fs::path(daemon.resultsDir()) /
+                               "whole" / file))
+            << file;
+}
+
 // ------------------------------------------------------ deadlines
 
 TEST_F(ChaosTest, ExceededDeadlineLandsErrorWithoutPartialResults)

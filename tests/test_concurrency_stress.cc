@@ -206,9 +206,8 @@ TEST(StoreStress, ConcurrentSaveAndLoadOnOneInstance)
     for (unsigned t = 0; t < kThreads; ++t) {
         threads.emplace_back([&store, &sim, &torn, t] {
             for (unsigned i = 0; i < kIters; ++i) {
-                const std::string mine =
-                    "t" + std::to_string(t) + "-" +
-                    std::to_string(i);
+                const std::string mine = std::string("t") +
+                    std::to_string(t) + "-" + std::to_string(i);
                 store.save(mine, sim);
                 store.save("shared", sim);
                 const auto own = store.load(mine);
@@ -297,12 +296,11 @@ TEST(QueueStress, SubmitCoalesceFinishUnderFaults)
                     // Unique name, fingerprint drawn from a small
                     // pool: collides with in-flight work as
                     // Coalesced.
-                    req.name = "s" + std::to_string(t) + "-" +
-                        std::to_string(i);
+                    req.name = std::string("s") + std::to_string(t) +
+                        "-" + std::to_string(i);
                     req.fingerprint =
                         "fp-" + std::to_string((t * kIters + i) % 6);
                 }
-                req.spec_text = "{}";
                 req.priority = i % 3;
                 req.ingress = serve::Ingress::Socket;
                 std::string primary;

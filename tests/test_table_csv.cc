@@ -8,7 +8,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -107,6 +109,53 @@ TEST(Format, CompactNumberMatchesPrintf)
     for (int i = 0; i < 1'000'000; ++i)
         ASSERT_TRUE(
             matches(std::trunc((ints.uniform() * 2.0 - 1.0) * 1e13)));
+
+    // The 128-bit path's domain, non-integer 1e-10 <= |v| < 1e12,
+    // with a decade of margin on each side: log-uniform magnitudes,
+    // which raw bit patterns (below) hit only ~3.5% of the time.
+    lsim::Rng mags(0x10960de);
+    for (int i = 0; i < 1'000'000; ++i)
+        ASSERT_TRUE(
+            matches(std::pow(10.0, -11.0 + 24.0 * mags.uniform())));
+
+    // Exact ties at the twelfth digit, which printf rounds half to
+    // even: k * 2^-j for odd k is k * 5^j / 10^j, whose significant
+    // digits are those of k * 5^j, so a 13-digit k * 5^j ends in a 5
+    // after twelve digits. j = 1..18 puts the tie at every decimal
+    // exponent from 11 down to -6; each one ulp either side too.
+    EXPECT_TRUE(matches(std::ldexp(1.0, -18))); // 3.814697265625e-06
+    EXPECT_TRUE(matches(123456789012.5));
+    lsim::Rng odd(0x71e5);
+    std::uint64_t pow5 = 1;
+    for (int j = 1; j <= 18; ++j) {
+        pow5 *= 5;
+        const std::uint64_t lo = (1'000'000'000'000 + pow5 - 1) / pow5;
+        const std::uint64_t hi = (10'000'000'000'000 - 1) / pow5;
+        for (int i = 0; i < 200; ++i) {
+            const std::uint64_t k = (lo + odd.below(hi - lo + 1)) | 1;
+            const double tie = std::ldexp(static_cast<double>(k), -j);
+            for (const double x :
+                 {tie, std::nextafter(tie, 0.0),
+                  std::nextafter(tie, limits::infinity())})
+                ASSERT_TRUE(matches(x)) << k << " * 2^-" << j;
+        }
+    }
+
+    // Every power of ten the domain spans, one ulp either side, and
+    // 9.9999999999995 * 10^E, which rounds up into 10^(E+1) and so
+    // carries into the next exponent (and across %g's switch between
+    // fixed and scientific notation at 1e-4 and 1e12).
+    for (int e = -11; e <= 12; ++e) {
+        for (const char *mantissa : {"1", "9.9999999999995"}) {
+            char text[32];
+            std::snprintf(text, sizeof(text), "%se%d", mantissa, e);
+            const double x = std::strtod(text, nullptr);
+            for (const double y :
+                 {x, std::nextafter(x, 0.0),
+                  std::nextafter(x, limits::infinity())})
+                EXPECT_TRUE(matches(y)) << text;
+        }
+    }
 
     // Raw bit patterns cover every exponent, denormals and NaN
     // payloads alike.

@@ -19,7 +19,8 @@ drops below R. Serve warm latency is additionally guarded by
 latency also exceeds the ceiling, so CI-runner noise on a
 sub-millisecond path cannot flake the job. O3 core throughput (the
 "core" block, Minst/s per benchmark), sweep render time (the
-"render" block, ms per CSV and JSON render) and the Adaptive kernel
+"render" block, ms per CSV and JSON render, and ns per number
+formatted) and the Adaptive kernel
 per vector width (the "adaptive_widths" block, ms and million
 lane-steps/s per width) are diffed and charted but never gated.
 Files written by older bench versions simply lack the newer metrics
@@ -106,6 +107,8 @@ def metrics(doc):
         # Report-only, like the core block.
         out[("render", "csv_ms")] = render.get("csv_ms")
         out[("render", "json_ms")] = render.get("json_ms")
+        # appendNumber alone, ns per number (lower is better).
+        out[("render", "ns_per_number")] = render.get("ns_per_number")
     widths = doc.get("adaptive_widths")
     if widths:
         # Single-thread Adaptive kernel per vector width: ms (lower
@@ -135,7 +138,8 @@ GATED = (("8pt", "speedup"), ("20pt", "speedup"),
 # inverted (first/last) so < 1 still means "regressed".
 LOWER_IS_BETTER = frozenset({"warm_request_ms", "cold_request_ms",
                              "socket_warm_request_ms", "csv_ms",
-                             "json_ms", "adaptive_ms"})
+                             "json_ms", "ns_per_number",
+                             "adaptive_ms"})
 
 
 def quality_ratio(key, first, last):
@@ -287,6 +291,11 @@ def render_html(records, out_path):
                            for _, snap in records])
                    for name in ("csv_ms", "json_ms")],
                   x_labels),
+        svg_chart("Number format time", " ns",
+                  [("ns_per_number",
+                    [snap.get(("render", "ns_per_number"))
+                     for _, snap in records])],
+                  x_labels),
         svg_chart("Adaptive kernel by vector width", " ms",
                   series_for("adaptive_ms"), x_labels),
     ]
@@ -312,7 +321,8 @@ def render_html(records, out_path):
 <p>{len(records)} record(s), oldest first:
 {html.escape(x_labels[0])} &rarr; {html.escape(x_labels[-1])}.
 Speedups and core throughput: higher is better. Latency, render
-time and Adaptive kernel time: lower is better.</p>
+time, number format time and Adaptive kernel time: lower is
+better.</p>
 {body}
 </body>
 </html>
