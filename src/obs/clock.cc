@@ -43,7 +43,10 @@ isoTimestampNow()
 
     std::tm tm{};
     gmtime_r(&secs, &tm);
-    char buf[32];
+    // The format's worst case: seven ints of up to 11 characters
+    // each ("-2147483648"), seven separators and the NUL. A real
+    // stamp is 24 characters.
+    char buf[7 * 11 + 7 + 1];
     std::snprintf(buf, sizeof(buf),
                   "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                   tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday,

@@ -106,12 +106,15 @@ struct Daemon::Request
     std::string spec_label; ///< "spec" field: filename or name
     std::string name;       ///< request name (results dir stem)
     std::string work_path;  ///< claimed spool location; "" = socket
-    std::string result_dir; ///< <results>/<name>
+    /** <results>/<name>; "" when the name breaks the name rule. */
+    std::string result_dir;
     std::size_t sweeps = 0; ///< result count, once known
     double run_ms = 0.0;    ///< BatchRunner::run wall time
     double total_ms = 0.0;  ///< admission-to-final wall time
     std::optional<api::BatchStats> stats;
     std::string coalesced_with; ///< primary name, for followers
+    /** Admission instant on the steady clock (total_ms). */
+    std::chrono::steady_clock::time_point admitted{};
 
     // Wall-clock ISO-8601 stamps, filled as the request advances so
     // per-request latency is reconstructable from the spool alone.
@@ -179,6 +182,16 @@ struct Daemon::Request
                 doc);
         return doc;
     }
+};
+
+/** What admit() made of one submission. */
+struct Daemon::Verdict
+{
+    /** The queue's answer, or RejectedName when the live-name check
+     * refused first; empty when refused before the queue otherwise. */
+    std::optional<Admission> admission;
+    std::string error; ///< refusal message; empty when admitted
+    Request req;       ///< status state as admitted (requestFor)
 };
 
 Daemon::Daemon(ServeConfig config)
@@ -265,11 +278,7 @@ Daemon::recoverStale()
                  de.path().string().c_str(), ec.message().c_str());
             continue;
         }
-        {
-            MutexLock lock(stats_mu_);
-            stats_.recovered += 1;
-        }
-        obs::counter("serve.requests_recovered").add();
+        tally(Tally::Recovered);
         inform("serve: re-queued stale spec '%s'",
                de.path().filename().string().c_str());
     }
@@ -281,20 +290,40 @@ Daemon::stopped() const
     return config_.stop && config_.stop();
 }
 
-bool
-Daemon::moveTo(const std::string &from, const std::string &subdir,
-               const std::string &name, std::string *error)
+void
+Daemon::tally(Tally what)
 {
+    struct Row
+    {
+        std::size_t ServeStats::*field;
+        const char *counter;
+    };
+    // In Tally's order.
+    static constexpr Row kRows[] = {
+        {&ServeStats::done, "serve.requests_done"},
+        {&ServeStats::failed, "serve.requests_failed"},
+        {&ServeStats::rejected, "serve.requests_rejected"},
+        {&ServeStats::coalesced, "serve.requests_coalesced"},
+        {&ServeStats::recovered, "serve.requests_recovered"},
+        {&ServeStats::polls, "serve.polls"},
+    };
+    const Row &row = kRows[static_cast<std::size_t>(what)];
+    obs::counter(row.counter).add();
+    MutexLock lock(stats_mu_);
+    stats_.*row.field += 1;
+}
+
+void
+Daemon::moveSpec(const std::string &work_path, const char *subdir)
+{
+    const fs::path from(work_path);
     std::error_code ec;
-    fs::rename(from, fs::path(config_.spool_dir) / subdir / name,
+    fs::rename(from,
+               fs::path(config_.spool_dir) / subdir / from.filename(),
                ec);
-    if (ec) {
-        if (error)
-            *error = "cannot move '" + from + "' to " + subdir +
-                     "/: " + ec.message();
-        return false;
-    }
-    return true;
+    if (ec)
+        warn("serve: cannot move '%s' to %s/: %s", work_path.c_str(),
+             subdir, ec.message().c_str());
 }
 
 void
@@ -315,126 +344,126 @@ Daemon::publishFinal(const std::string &name,
     board_cv_.notify_all();
 }
 
-void
-Daemon::admitSpool(const std::string &spec_name)
+Daemon::Request
+Daemon::requestFor(const QueuedRequest &qr) const
 {
-    // Claim by rename: with several daemons sharing one spool,
-    // exactly one rename succeeds and the losers skip silently.
-    const fs::path spool(config_.spool_dir);
-    const std::string stem = fs::path(spec_name).stem().string();
-    if (queue_.live(stem))
-        return; // a live request owns this name; retry next drain
-    if (LSIM_FAULT("serve.claim"))
-        return; // injected lost claim: spec survives for a later
-                // drain (or another daemon), exactly like a race
-
     Request req;
-    req.spec_label = spec_name;
-    req.name = stem;
-    req.work_path = (spool / kWorkDir / spec_name).string();
-    {
-        std::error_code ec;
-        fs::rename(spool / spec_name, req.work_path, ec);
-        if (ec)
-            return; // raced with another daemon, or vanished
+    req.spec_label =
+        qr.ingress == Ingress::Spool ? qr.spec_file : qr.name;
+    req.name = qr.name;
+    // A name that breaks the rule could escape the results dir, so
+    // it names none.
+    if (validName(qr.name))
+        req.result_dir = (fs::path(results_dir_) / qr.name).string();
+    if (qr.ingress == Ingress::Spool)
+        req.work_path =
+            (fs::path(config_.spool_dir) / kWorkDir / qr.spec_file)
+                .string();
+    req.queued_at = qr.queued_at;
+    req.admitted = qr.admitted;
+    return req;
+}
+
+Daemon::Verdict
+Daemon::admit(QueuedRequest qr, const std::string &spec_text)
+{
+    qr.admitted = std::chrono::steady_clock::now();
+    qr.queued_at = obs::isoTimestampNow();
+    Verdict v;
+    v.req = requestFor(qr);
+    if (!validName(qr.name)) {
+        v.error = "invalid request name";
+        return v;
     }
-    req.result_dir = (fs::path(results_dir_) / stem).string();
+    if (queue_.live(qr.name)) {
+        v.admission = Admission::RejectedName;
+        v.error = "request name '" + qr.name + "' is in use";
+        return v;
+    }
+    try {
+        qr.batch = batchConfigFromJson(parseJson(spec_text));
+        qr.fingerprint = api::batchFingerprint(qr.batch);
+    } catch (const std::exception &err) {
+        v.error = err.what();
+        return v;
+    }
     {
         std::error_code ec;
-        fs::create_directories(req.result_dir, ec);
+        fs::create_directories(v.req.result_dir, ec);
         if (ec) {
-            warn("serve: cannot create result dir '%s': %s",
-                 req.result_dir.c_str(), ec.message().c_str());
-            // Without a result dir there is nowhere to report
-            // status; park the spec in failed/ and move on.
-            moveTo(req.work_path, kFailedDir, spec_name, nullptr);
-            obs::counter("serve.requests_failed").add();
-            MutexLock lock(stats_mu_);
-            stats_.failed += 1;
-            stats_.processed += 1;
-            return;
+            v.error = "cannot create result dir '" +
+                      v.req.result_dir + "': " + ec.message();
+            return v;
         }
     }
     {
         // A re-submitted name must not wait-match its old result.
         MutexLock lock(board_mu_);
-        final_.erase(stem);
+        final_.erase(qr.name);
     }
-
-    const auto admitted = std::chrono::steady_clock::now();
-    req.queued_at = obs::isoTimestampNow();
-    req.writeStatus("queued");
-
-    QueuedRequest qr;
-    qr.name = stem;
-    qr.spec_file = spec_name;
-    qr.ingress = Ingress::Spool;
-    qr.queued_at = req.queued_at;
-    qr.admitted = admitted;
-    try {
-        qr.batch = batchConfigFromJson(
-            parseJson(readFileText(req.work_path)));
-        qr.fingerprint = api::batchFingerprint(qr.batch);
-    } catch (const std::exception &err) {
-        // Malformed specs fail at the door, before they cost a
-        // queue slot: error status, spec to failed/.
-        req.total_ms = msSince(admitted);
-        req.finished_at = obs::isoTimestampNow();
-        const std::string line =
-            req.writeStatus("error", err.what());
-        publishFinal(stem, line);
-        obs::counter("serve.requests_failed").add();
-        std::string move_error;
-        if (!moveTo(req.work_path, kFailedDir, spec_name,
-                    &move_error))
-            warn("serve: %s", move_error.c_str());
-        {
-            MutexLock lock(stats_mu_);
-            stats_.failed += 1;
-            stats_.processed += 1;
-        }
-        warn("serve: %s failed: %s", spec_name.c_str(),
-             err.what());
-        return;
-    }
+    // The queued status lands on disk *before* the queue sees the
+    // request, so the execution fan-out can never lose a race to
+    // this write (its done status always comes later).
+    v.req.writeStatus("queued");
 
     std::string primary;
-    switch (queue_.submit(std::move(qr), &primary)) {
+    v.admission = queue_.submit(std::move(qr), &primary);
+    switch (*v.admission) {
     case Admission::Enqueued:
         break;
     case Admission::Coalesced:
         // The identical in-flight request will fan its results out
         // to this one; no queue slot, no execution.
-        obs::counter("serve.requests_coalesced").add();
-        {
-            MutexLock lock(stats_mu_);
-            stats_.coalesced += 1;
-        }
+        tally(Tally::Coalesced);
+        v.req.coalesced_with = primary;
         inform("serve: %s coalesced with in-flight request '%s'",
-               spec_name.c_str(), primary.c_str());
+               v.req.spec_label.c_str(), primary.c_str());
         break;
     case Admission::RejectedFull:
-        // Backpressure: un-claim so the spec survives on disk and a
-        // later drain (or another daemon) picks it up.
-        {
-            std::error_code ec;
-            fs::rename(req.work_path, spool / spec_name, ec);
-        }
+        v.error = "queue full (" + std::to_string(config_.max_queue) +
+                  " pending)";
         break;
     case Admission::RejectedName:
-        // Lost a race with a socket submission using this name.
-        warn("serve: %s rejected: request name '%s' is in use",
-             spec_name.c_str(), stem.c_str());
-        moveTo(req.work_path, kFailedDir, spec_name, nullptr);
-        obs::counter("serve.requests_rejected").add();
-        {
-            MutexLock lock(stats_mu_);
-            stats_.rejected += 1;
-            stats_.failed += 1;
-            stats_.processed += 1;
-        }
+        v.error = "request name '" + v.req.name + "' is in use";
         break;
     }
+    return v;
+}
+
+void
+Daemon::admitSpool(const std::string &spec_name)
+{
+    // Claim by rename: with several daemons sharing one spool,
+    // exactly one rename succeeds and the losers skip silently.
+    if (LSIM_FAULT("serve.claim"))
+        return; // injected lost claim: spec survives for a later
+                // drain (or another daemon), exactly like a race
+    const fs::path spool(config_.spool_dir);
+    const fs::path work = spool / kWorkDir / spec_name;
+    std::error_code ec;
+    fs::rename(spool / spec_name, work, ec);
+    if (ec)
+        return; // raced with another daemon, or vanished
+
+    QueuedRequest qr;
+    qr.name = fs::path(spec_name).stem().string();
+    qr.spec_file = spec_name;
+    qr.ingress = Ingress::Spool;
+    Verdict v = admit(std::move(qr), readFileText(work.string()));
+    if (v.error.empty())
+        return;
+    if (v.admission == Admission::RejectedFull ||
+        v.admission == Admission::RejectedName) {
+        // Backpressure, or a live request owns the name: un-claim so
+        // the spec survives on disk and a later drain (or another
+        // daemon) picks it up.
+        fs::rename(work, spool / spec_name, ec);
+        return;
+    }
+    // A bad name or spec fails at the door, before it costs a queue
+    // slot: spec to failed/, and an error status where the name has
+    // a result dir.
+    failRequest(std::move(v.req), v.error);
 }
 
 SubmitResult
@@ -442,102 +471,38 @@ Daemon::submitRequest(const std::string &name,
                       const std::string &spec_text, int priority,
                       std::string *response)
 {
-    const auto reject = [&](const std::string &message,
-                            bool write_status) {
-        Request req;
-        req.spec_label = name.empty() ? "?" : name;
-        req.name = req.spec_label;
-        if (write_status) {
-            req.result_dir =
-                (fs::path(results_dir_) / req.name).string();
-            std::error_code ec;
-            fs::create_directories(req.result_dir, ec);
-            if (!ec) {
-                req.finished_at = obs::isoTimestampNow();
-                req.writeStatus("rejected", message);
-            }
-        }
+    Verdict v;
+    if (LSIM_FAULT("serve.admit")) {
+        v.error = "injected admission fault";
+    } else {
+        QueuedRequest qr;
+        qr.name = name;
+        qr.priority = priority;
+        qr.ingress = Ingress::Socket;
+        v = admit(std::move(qr), spec_text);
+    }
+    if (v.error.empty()) {
         if (response)
-            *response = trimTrailingNewline(
-                req.statusJson("rejected", message));
-        obs::counter("serve.requests_rejected").add();
-        MutexLock lock(stats_mu_);
-        stats_.rejected += 1;
-        return SubmitResult::Rejected;
-    };
-
-    if (!validName(name))
-        return reject("invalid request name", false);
-    if (queue_.live(name))
-        return reject("request name '" + name + "' is in use",
-                      false);
-    if (LSIM_FAULT("serve.admit"))
-        return reject("injected admission fault", false);
-
-    QueuedRequest qr;
-    qr.name = name;
-    qr.priority = priority;
-    qr.ingress = Ingress::Socket;
-    qr.admitted = std::chrono::steady_clock::now();
-    try {
-        qr.batch = batchConfigFromJson(parseJson(spec_text));
-        qr.fingerprint = api::batchFingerprint(qr.batch);
-    } catch (const std::exception &err) {
-        return reject(err.what(), false);
+            *response = trimTrailingNewline(v.req.statusJson("queued"));
+        return v.admission == Admission::Coalesced
+                   ? SubmitResult::Coalesced
+                   : SubmitResult::Queued;
     }
 
-    Request req;
-    req.spec_label = name;
-    req.name = name;
-    req.result_dir = (fs::path(results_dir_) / name).string();
-    {
-        std::error_code ec;
-        fs::create_directories(req.result_dir, ec);
-        if (ec)
-            return reject("cannot create result dir '" +
-                              req.result_dir +
-                              "': " + ec.message(),
-                          false);
+    tally(Tally::Rejected);
+    Request rejected;
+    rejected.spec_label = name.empty() ? "?" : name;
+    if (v.admission == Admission::RejectedFull) {
+        // The queued status is already on disk: replace it, so a
+        // poller sees the refusal.
+        rejected.result_dir = v.req.result_dir;
+        rejected.finished_at = obs::isoTimestampNow();
+        rejected.writeStatus("rejected", v.error);
     }
-    {
-        MutexLock lock(board_mu_);
-        final_.erase(name);
-    }
-    req.queued_at = obs::isoTimestampNow();
-    qr.queued_at = req.queued_at;
-    // The queued status lands on disk *before* the queue sees the
-    // request, so the execution fan-out can never lose a race to
-    // this write (its done status always comes later).
-    req.writeStatus("queued");
-
-    std::string primary;
-    switch (queue_.submit(std::move(qr), &primary)) {
-    case Admission::Enqueued:
-        if (response)
-            *response =
-                trimTrailingNewline(req.statusJson("queued"));
-        return SubmitResult::Queued;
-    case Admission::Coalesced:
-        obs::counter("serve.requests_coalesced").add();
-        {
-            MutexLock lock(stats_mu_);
-            stats_.coalesced += 1;
-        }
-        req.coalesced_with = primary;
-        if (response)
-            *response =
-                trimTrailingNewline(req.statusJson("queued"));
-        return SubmitResult::Coalesced;
-    case Admission::RejectedFull:
-        return reject("queue full (" +
-                          std::to_string(config_.max_queue) +
-                          " pending)",
-                      true);
-    case Admission::RejectedName:
-        return reject("request name '" + name + "' is in use",
-                      false);
-    }
-    return reject("internal admission error", false);
+    if (response)
+        *response = trimTrailingNewline(
+            rejected.statusJson("rejected", v.error));
+    return SubmitResult::Rejected;
 }
 
 std::string
@@ -591,52 +556,30 @@ Daemon::waitFor(const std::string &name, double timeout_s)
 }
 
 void
-Daemon::failRequest(const QueuedRequest &req,
-                    const std::string &message,
-                    const std::string &started_at)
+Daemon::failRequest(Request req, const std::string &message)
 {
-    Request r;
-    r.spec_label =
-        req.ingress == Ingress::Spool ? req.spec_file : req.name;
-    r.name = req.name;
-    r.result_dir = (fs::path(results_dir_) / req.name).string();
-    if (req.ingress == Ingress::Spool)
-        r.work_path =
-            (fs::path(config_.spool_dir) / kWorkDir /
-             req.spec_file)
-                .string();
-    r.queued_at = req.queued_at;
-    r.started_at = started_at;
-    r.total_ms = msSince(req.admitted);
-    r.finished_at = obs::isoTimestampNow();
-    // `error` status guarantees no result files: remove anything a
-    // partially delivered (or prior same-named) run left behind, so
-    // a poller never pairs stale sweeps with a failed status.
-    {
+    req.total_ms = msSince(req.admitted);
+    req.finished_at = obs::isoTimestampNow();
+    if (!req.result_dir.empty()) {
+        // `error` status guarantees no result files: remove anything
+        // a partially delivered (or prior same-named) run left
+        // behind, so a poller never pairs stale sweeps with a failed
+        // status. A spec refused at admission has no result dir yet.
         std::error_code ec;
+        fs::create_directories(req.result_dir, ec);
         for (const auto &de :
-             fs::directory_iterator(r.result_dir, ec)) {
+             fs::directory_iterator(req.result_dir, ec)) {
             const std::string fname =
                 de.path().filename().string();
             if (fname.rfind("sweep_", 0) == 0)
                 fs::remove(de.path(), ec);
         }
+        publishFinal(req.name, req.writeStatus("error", message));
     }
-    const std::string line = r.writeStatus("error", message);
-    publishFinal(req.name, line);
-    obs::counter("serve.requests_failed").add();
-    if (!r.work_path.empty()) {
-        std::string move_error;
-        if (!moveTo(r.work_path, kFailedDir, req.spec_file,
-                    &move_error))
-            warn("serve: %s", move_error.c_str());
-    }
-    {
-        MutexLock lock(stats_mu_);
-        stats_.failed += 1;
-        stats_.processed += 1;
-    }
-    warn("serve: %s failed: %s", r.spec_label.c_str(),
+    if (!req.work_path.empty())
+        moveSpec(req.work_path, kFailedDir);
+    tally(Tally::Failed);
+    warn("serve: %s failed: %s", req.spec_label.c_str(),
          message.c_str());
 }
 
@@ -644,16 +587,21 @@ void
 Daemon::execute(const QueuedRequest &qr)
 {
     obs::TraceSpan span("serve.request", "serve");
-    Request req;
-    req.spec_label =
-        qr.ingress == Ingress::Spool ? qr.spec_file : qr.name;
-    req.name = qr.name;
-    req.result_dir = (fs::path(results_dir_) / qr.name).string();
-    if (qr.ingress == Ingress::Spool)
-        req.work_path =
-            (fs::path(config_.spool_dir) / kWorkDir / qr.spec_file)
-                .string();
-    req.queued_at = qr.queued_at;
+    Request req = requestFor(qr);
+    // A failed request's status carries its admission fields and the
+    // execution's start only.
+    const auto fail = [&](const QueuedRequest &q,
+                          const std::string &message) {
+        Request failed = requestFor(q);
+        failed.started_at = req.started_at;
+        failRequest(std::move(failed), message);
+    };
+    // The primary's failure fails its followers too — their promise
+    // was "the primary's results".
+    const auto failFollowers = [&](const std::string &message) {
+        for (const QueuedRequest &f : queue_.finish(qr.name))
+            fail(f, message);
+    };
 
     api::BatchResult result;
     try {
@@ -693,14 +641,12 @@ Daemon::execute(const QueuedRequest &qr)
         const std::string message =
             "deadline exceeded: request ran past " +
             std::to_string(config_.request_timeout_s) + " s";
-        failRequest(qr, message, req.started_at);
-        for (const QueuedRequest &f : queue_.finish(qr.name))
-            failRequest(f, message, req.started_at);
+        fail(qr, message);
+        failFollowers(message);
         return;
     } catch (const std::exception &err) {
-        failRequest(qr, err.what(), req.started_at);
-        for (const QueuedRequest &f : queue_.finish(qr.name))
-            failRequest(f, err.what(), req.started_at);
+        fail(qr, err.what());
+        failFollowers(err.what());
         return;
     }
 
@@ -765,31 +711,19 @@ Daemon::execute(const QueuedRequest &qr)
     const auto deliver = [&](Request &r, const QueuedRequest &origin,
                              bool written) -> bool {
         if (!written) {
-            failRequest(origin,
-                        "cannot write results under '" +
-                            r.result_dir + "'",
-                        r.started_at);
+            fail(origin,
+                 "cannot write results under '" + r.result_dir + "'");
             return false;
         }
-        r.total_ms = msSince(origin.admitted);
+        r.total_ms = msSince(r.admitted);
         r.finished_at = obs::isoTimestampNow();
-        const std::string line = r.writeStatus("done");
-        publishFinal(origin.name, line);
-        if (!r.work_path.empty()) {
-            std::string move_error;
-            if (!moveTo(r.work_path, kDoneDir, origin.spec_file,
-                        &move_error))
-                warn("serve: %s", move_error.c_str());
-        }
-        {
-            MutexLock lock(stats_mu_);
-            stats_.done += 1;
-            stats_.processed += 1;
-        }
+        publishFinal(r.name, r.writeStatus("done"));
+        if (!r.work_path.empty())
+            moveSpec(r.work_path, kDoneDir);
+        tally(Tally::Done);
         // The latency histogram counts successful requests only, so
         // its count stays equal to serve.requests_done (tested
         // invariant); followers count as requests in both.
-        obs::counter("serve.requests_done").add();
         obs::histogram("serve.request_ms").observe(r.total_ms);
         if (origin.ingress == Ingress::Socket)
             obs::histogram("serve.socket_request_ms")
@@ -798,12 +732,8 @@ Daemon::execute(const QueuedRequest &qr)
     };
 
     if (!deliver(req, qr, written)) {
-        // The primary's failure fails its followers too — their
-        // promise was "the primary's results".
-        for (const QueuedRequest &f : queue_.finish(qr.name))
-            failRequest(f, "primary request '" + qr.name +
-                               "' failed to deliver results",
-                        req.started_at);
+        failFollowers("primary request '" + qr.name +
+                      "' failed to deliver results");
         return;
     }
     // Work counters tick once per *execution*; request counters
@@ -820,18 +750,7 @@ Daemon::execute(const QueuedRequest &qr)
 
     // Fan out: byte-identical results to every coalesced follower.
     for (const QueuedRequest &f : queue_.finish(qr.name)) {
-        Request fr;
-        fr.spec_label =
-            f.ingress == Ingress::Spool ? f.spec_file : f.name;
-        fr.name = f.name;
-        fr.result_dir =
-            (fs::path(results_dir_) / f.name).string();
-        if (f.ingress == Ingress::Spool)
-            fr.work_path =
-                (fs::path(config_.spool_dir) / kWorkDir /
-                 f.spec_file)
-                    .string();
-        fr.queued_at = f.queued_at;
+        Request fr = requestFor(f);
         fr.started_at = req.started_at;
         fr.run_ms = req.run_ms;
         fr.sweeps = req.sweeps;
@@ -909,7 +828,7 @@ Daemon::abandonQueued()
             // crash recovery re-queues and re-executes it.
             continue;
         }
-        failRequest(req, "daemon stopping", "");
+        failRequest(requestFor(req), "daemon stopping");
     }
 }
 
@@ -931,11 +850,7 @@ Daemon::drainOnce()
     }
     std::sort(names.begin(), names.end());
 
-    std::size_t before = 0;
-    {
-        MutexLock lock(stats_mu_);
-        before = stats_.processed;
-    }
+    const std::size_t before = stats().processed;
     for (const std::string &name : names) {
         if (queue_.full())
             break; // spool backpressure: leave the rest on disk
@@ -947,13 +862,8 @@ Daemon::drainOnce()
             break; // graceful: finish the request, not the queue
     }
     janitorSweep();
-    std::size_t drained = 0;
-    {
-        MutexLock lock(stats_mu_);
-        stats_.polls += 1;
-        drained = stats_.processed - before;
-    }
-    obs::counter("serve.polls").add();
+    tally(Tally::Poll);
+    const std::size_t drained = stats().processed - before;
 
     // Publish the metrics snapshot every drain cycle so pollers (and
     // `lsim metrics`) always see a fresh, never-torn file.
@@ -968,7 +878,9 @@ ServeStats
 Daemon::stats() const
 {
     MutexLock lock(stats_mu_);
-    return stats_;
+    ServeStats snapshot = stats_;
+    snapshot.processed = snapshot.done + snapshot.failed;
+    return snapshot;
 }
 
 ServeStats

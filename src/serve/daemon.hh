@@ -10,11 +10,20 @@
  * with --socket PATH, also accepts specs over a Unix-domain socket
  * (see serve/socket.hh for the framing and `lsim submit`/`lsim
  * wait` for clients). Every request — whichever door it came in —
- * passes through one bounded RequestQueue (see serve/queue.hh):
- * identical in-flight specs coalesce to a single execution whose
- * results fan out byte-identically to all waiters, higher-priority
- * requests pop first, and submissions beyond the queue bound are
- * rejected (socket) or left unclaimed (spool backpressure).
+ * passes through one admission step and one bounded RequestQueue
+ * (see serve/queue.hh): identical in-flight specs coalesce to a
+ * single execution whose results fan out byte-identically to all
+ * waiters, higher-priority requests pop first, and submissions
+ * beyond the queue bound are rejected (socket) or left unclaimed
+ * (spool backpressure).
+ *
+ * Both doors apply the request-name rule: a name is 1-128
+ * characters of [A-Za-z0-9._-] and is neither "." nor "..". A spool
+ * spec's name is its filename stem, so `a b.json` or `...json` is
+ * refused into failed/ (with no status, since its name cannot name
+ * a result dir). A spool spec whose name is live — queued or
+ * executing under that name — waits in the spool for a later
+ * drain; a socket submission with a live name is rejected.
  *
  * Spool layout (subdirectories created on startup):
  *
@@ -134,7 +143,8 @@ struct ServeConfig
     std::function<bool()> stop;
 };
 
-/** What the daemon has served so far. */
+/** What the daemon has served so far. Each field but `processed`
+ * mirrors a serve.* counter of the obs registry. */
 struct ServeStats
 {
     std::size_t processed = 0; ///< specs consumed (done + failed)
@@ -192,10 +202,9 @@ class Daemon
 
     /**
      * Socket-path admission (called from connection threads; safe
-     * against the drain thread). Validates the spec, creates the
-     * result dir, writes the queued status, and submits to the
-     * shared queue. @p response receives the status.json-shaped ack
-     * line (no trailing newline).
+     * against the drain thread): admit() plus the protocol ack.
+     * @p response receives the status.json-shaped ack line (no
+     * trailing newline).
      */
     SubmitResult submitRequest(const std::string &name,
                                const std::string &spec_text,
@@ -229,20 +238,37 @@ class Daemon
 
   private:
     struct Request;
+    struct Verdict;
+
+    /** What tally() counts: each names a ServeStats field and the
+     * serve.* counter that mirrors it. */
+    enum class Tally { Done, Failed, Rejected, Coalesced, Recovered, Poll };
+
+    /** Count one @p what in stats_ and in its counter, together. */
+    void tally(Tally what);
 
     void recoverStale();
     bool stopped() const;
 
-    /** Claim one spool spec and admit it to the queue. */
+    /**
+     * Both doors' admission. @p qr carries the door's fields (name,
+     * spec_file, ingress, priority). Checks the name rule and that
+     * the name is not live, parses and fingerprints @p spec_text,
+     * creates the result dir, writes the queued status and submits.
+     */
+    Verdict admit(QueuedRequest qr, const std::string &spec_text);
+
+    /** Claim one spool spec, admit it, and react to a refusal. */
     void admitSpool(const std::string &spec_name);
+
+    /** @p qr's status state as admitted. */
+    Request requestFor(const QueuedRequest &qr) const;
 
     /** Execute one popped request and fan out to its followers. */
     void execute(const QueuedRequest &req);
 
     /** Fail @p req (status, counters, spool move, board). */
-    void failRequest(const QueuedRequest &req,
-                     const std::string &message,
-                     const std::string &started_at);
+    void failRequest(Request req, const std::string &message);
 
     /** Remove consumed specs / result dirs older than the TTL. */
     void janitorSweep();
@@ -254,16 +280,17 @@ class Daemon
     /** Fail every queued socket request (shutdown path). */
     void abandonQueued();
 
-    bool moveTo(const std::string &from, const std::string &subdir,
-                const std::string &name, std::string *error);
+    /** Move the claimed spec at @p work_path into @p subdir. */
+    void moveSpec(const std::string &work_path, const char *subdir);
 
     ServeConfig config_;
     std::string results_dir_;
     std::string metrics_path_;
 
-    /** Counter mutations happen on the drain thread, reads may come
-     * from anywhere (stats()); the guard keeps a live daemon
-     * observable without racing its drain loop. */
+    /** Written by tally() from the drain and connection threads,
+     * read by stats() from anywhere; the guard keeps a live daemon
+     * observable without racing its drain loop. `processed` is
+     * derived in stats(). */
     mutable Mutex stats_mu_;
     ServeStats stats_ GUARDED_BY(stats_mu_);
 

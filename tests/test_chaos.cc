@@ -347,7 +347,7 @@ TEST_F(ChaosTest, SocketFaultsNeverWedgeTheListener)
     int served = 0;
     for (int i = 0; i < 10; ++i) {
         const ClientResult r = socketSubmit(
-            daemon.socketPath(), "c" + std::to_string(i),
+            daemon.socketPath(), std::string("c") + std::to_string(i),
             specNumber(i), 0, /*wait=*/false, 10.0);
         served += r.ok ? 1 : 0;
     }

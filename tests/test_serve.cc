@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 #include "api/batch.hh"
 #include "common/json.hh"
@@ -231,6 +232,35 @@ TEST(Daemon, MalformedSpecsLandInFailedAndDoNotStopTheDrain)
               std::string::npos);
 }
 
+TEST(Daemon, SpoolSpecsObeyTheRequestNameRule)
+{
+    // A spool spec's request name is its filename stem: ".", ".."
+    // and "a b" here. None may name a result dir — ".." would put
+    // status.json and the sweeps in the spool root, where the next
+    // drain takes them for specs, and "." straight into results/.
+    const std::string spool = freshDir("bad_names");
+    const std::vector<std::string> specs = {"..json", "...json",
+                                            "a b.json"};
+    for (const std::string &spec : specs)
+        writeFile(fs::path(spool) / spec, kSpec);
+
+    Daemon daemon(baseConfig(spool));
+    EXPECT_EQ(daemon.drainOnce(), 3u);
+    EXPECT_EQ(daemon.stats().failed, 3u);
+    EXPECT_EQ(daemon.stats().done, 0u);
+    for (const std::string &spec : specs)
+        EXPECT_TRUE(fs::exists(fs::path(spool) / "failed" / spec))
+            << spec;
+
+    for (const std::string &dir : {spool, daemon.resultsDir()}) {
+        for (const auto &de : fs::directory_iterator(dir)) {
+            const std::string name = de.path().filename().string();
+            EXPECT_NE(name, "status.json") << dir;
+            EXPECT_NE(name.rfind("sweep_", 0), 0u) << de.path();
+        }
+    }
+}
+
 TEST(Daemon, WarmSecondRequestIsServedFromTheSharedStore)
 {
     const std::string spool = freshDir("warm");
@@ -425,8 +455,9 @@ TEST(Daemon, MetricsCountFailuresSeparately)
     // its count equal to serve.requests_done. (The histogram is
     // only registered once a request succeeds, hence find().)
     if (const JsonValue *hist =
-            doc.at("histograms").find("serve.request_ms"))
+            doc.at("histograms").find("serve.request_ms")) {
         EXPECT_EQ(hist->at("count").asU64(), 0u);
+    }
 }
 
 TEST(Daemon, DeliverHistogramCountsEachExecutedRequest)

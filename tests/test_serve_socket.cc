@@ -334,6 +334,74 @@ TEST(SocketServe, MixedIngressCoalescesSpoolOntoSocket)
     EXPECT_EQ(status.at("coalesced_with").asString(), "sock");
 }
 
+TEST(SocketServe, SpoolSpecWithALiveNameWaitsForALaterDrain)
+{
+    const std::string spool = freshDir("live_spool_name");
+    Daemon daemon(socketConfig(spool));
+
+    // The socket request owns "req" until it finishes, so the spool
+    // spec of the same name must stay in the spool, not fail.
+    ASSERT_EQ(stateOf(socketSubmit(daemon.socketPath(), "req", kSpec,
+                                   0, false, 30.0)
+                          .lines.at(0)),
+              "queued");
+    writeFile(fs::path(spool) / "req.json", kOtherSpec);
+    EXPECT_EQ(daemon.drainOnce(), 1u);
+    EXPECT_TRUE(fs::exists(fs::path(spool) / "req.json"));
+    EXPECT_EQ(daemon.stats().failed, 0u);
+
+    // The name is free again: the next drain serves the spec.
+    EXPECT_EQ(daemon.drainOnce(), 1u);
+    EXPECT_TRUE(fs::exists(fs::path(spool) / "done" / "req.json"));
+    EXPECT_EQ(daemon.stats().done, 2u);
+    const JsonValue status = parseJsonFile(
+        (fs::path(daemon.resultsDir()) / "req" / "status.json")
+            .string());
+    EXPECT_EQ(status.at("spec").asString(), "req.json");
+    EXPECT_EQ(status.at("state").asString(), "done");
+}
+
+TEST(SocketServe, StatsAgreeWithTheServeCountersAcrossBothDoors)
+{
+    // Deltas, not absolutes: the registry is process-wide.
+    const std::vector<std::string> counters = {
+        "serve.requests_done", "serve.requests_failed",
+        "serve.requests_rejected", "serve.requests_coalesced"};
+    std::vector<std::uint64_t> before;
+    for (const std::string &name : counters)
+        before.push_back(obs::counter(name).value());
+
+    const std::string spool = freshDir("stats_agree");
+    Daemon daemon(socketConfig(spool));
+    const auto submit = [&](const std::string &name,
+                            const char *spec) {
+        const ClientResult ack = socketSubmit(
+            daemon.socketPath(), name, spec, 0, false, 30.0);
+        EXPECT_TRUE(ack.ok) << ack.error;
+        return ack.lines.empty() ? std::string() : stateOf(ack.lines[0]);
+    };
+    EXPECT_EQ(submit("sock", kSpec), "queued");
+    EXPECT_EQ(submit("twin", kSpecReformatted), "queued"); // coalesces
+    EXPECT_EQ(submit("garbled", "not json"), "rejected");
+    EXPECT_EQ(submit("sock", kOtherSpec), "rejected"); // name is live
+    writeFile(fs::path(spool) / "file.json", kOtherSpec);
+    writeFile(fs::path(spool) / "broken.json", "not json");
+    EXPECT_EQ(daemon.drainOnce(), 4u);
+
+    const ServeStats stats = daemon.stats();
+    EXPECT_EQ(stats.done, 3u);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.rejected, 2u);
+    EXPECT_EQ(stats.coalesced, 1u);
+    EXPECT_EQ(stats.processed, stats.done + stats.failed);
+    const std::size_t fields[] = {stats.done, stats.failed,
+                                  stats.rejected, stats.coalesced};
+    for (std::size_t i = 0; i < counters.size(); ++i)
+        EXPECT_EQ(obs::counter(counters[i]).value() - before[i],
+                  fields[i])
+            << counters[i];
+}
+
 // --------------------------------------------- socket protocol
 
 TEST(SocketServe, SubmitWaitRoundTrip)

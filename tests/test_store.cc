@@ -915,11 +915,11 @@ TEST(StoreIndex, ConcurrentStoreFlushesNeverLoseEntries)
     const ProfileStore store_b(dir);
     std::thread writer_a([&] {
         for (int i = 0; i < kPerWriter; ++i)
-            store_a.save("a" + std::to_string(i), sim);
+            store_a.save(std::string("a") + std::to_string(i), sim);
     });
     std::thread writer_b([&] {
         for (int i = 0; i < kPerWriter; ++i) {
-            store_b.save("b" + std::to_string(i), sim);
+            store_b.save(std::string("b") + std::to_string(i), sim);
             // Age-based gc with no limit set evicts nothing but
             // still walks (and flushes) the shared index.
             ProfileStore::GcOptions options;
@@ -931,9 +931,11 @@ TEST(StoreIndex, ConcurrentStoreFlushesNeverLoseEntries)
 
     const StoreIndex merged(dir);
     for (int i = 0; i < kPerWriter; ++i) {
-        EXPECT_NE(merged.find("a" + std::to_string(i)), nullptr)
+        EXPECT_NE(merged.find(std::string("a") + std::to_string(i)),
+                  nullptr)
             << "a" << i;
-        EXPECT_NE(merged.find("b" + std::to_string(i)), nullptr)
+        EXPECT_NE(merged.find(std::string("b") + std::to_string(i)),
+                  nullptr)
             << "b" << i;
     }
     EXPECT_GE(merged.generation(),
