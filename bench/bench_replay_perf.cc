@@ -9,15 +9,14 @@
  *     is 20 technology points x 4 workloads under the paper's four
  *     policies; CI gates on the engine being at least --min-speedup
  *     times the scalar path there.
- *  2. Kernel vs virtual — the batched closed-form kernels versus the
- *     same engine with per-unit virtual dispatch
- *     (ReplayOptions::use_kernels = false, the PR 3 inner loop), on
- *     a dense synthetic 20-point grid whose interval multiset is
- *     rich enough (kDenseDistinct distinct lengths) that replay
- *     work, not per-sweep setup, dominates — the regime the kernels
- *     exist for. CI gates the paper policies' row with
- *     --min-kernel-speedup; a second row replays `adaptive` alone
- *     (its stateful lane kernel) and is reported, not gated.
+ *  2. Dense grid — the same scalar-vs-engine comparison on a dense
+ *     synthetic 20-point grid whose interval multiset is rich
+ *     enough (kDenseDistinct distinct lengths) that replay work,
+ *     not per-sweep setup, dominates — the regime the batch kernels
+ *     exist for. The paper policies' row is recorded for the
+ *     trajectory gate (tools/bench_trend.py); a second row replays
+ *     `adaptive` alone (its stateful lane kernel) and is reported,
+ *     not gated.
  *  3. Sharded/threaded — the chunk-sharded engine on an interval
  *     multiset above the auto-shard threshold, replayed at 1/4/8
  *     threads through the same parallelFor the sweep runner uses.
@@ -72,8 +71,6 @@
  *   --min-speedup <x>        exit 1 if the reference-grid
  *                            engine-vs-scalar speedup is below <x>
  *                            (default 0 = report only)
- *   --min-kernel-speedup <x> exit 1 if the dense-grid
- *                            kernel-vs-virtual speedup is below <x>
  *   --min-threaded-speedup <x> exit 1 if the best sharded
  *                            multi-thread speedup is below <x>
  */
@@ -116,8 +113,8 @@ using namespace lsim;
 constexpr const char *kWorkloads[] = {"gcc", "mcf", "vortex", "mst"};
 constexpr std::size_t kReferencePoints = 20;
 
-/** Distinct interval lengths in the dense kernel-vs-virtual grid
- * (kept below the auto-shard threshold: single chunk, bit-exact). */
+/** Distinct interval lengths in the dense grid (kept below the
+ * auto-shard threshold: single chunk, bit-exact). */
 constexpr std::size_t kDenseDistinct = 3500;
 
 /** Distinct lengths in the sharded/threaded grid (above the
@@ -153,17 +150,11 @@ struct GridResult
     std::size_t distinct_intervals = 0; ///< summed over workloads
     std::size_t units = 0;              ///< engine accumulators
     double scalar_ms = 0.0;
-    double multi_ms = 0.0;   ///< the engine (kernel path)
-    double virtual_ms = 0.0; ///< the engine, use_kernels = false
+    double multi_ms = 0.0; ///< the engine
 
     double speedup() const
     {
         return multi_ms > 0.0 ? scalar_ms / multi_ms : 0.0;
-    }
-
-    double kernelSpeedup() const
-    {
-        return multi_ms > 0.0 ? virtual_ms / multi_ms : 0.0;
     }
 };
 
@@ -205,9 +196,9 @@ nearResults(const std::vector<sleep::PolicyResult> &a,
 }
 
 /**
- * Equivalence gate shared by every dimension: the kernel engine and
- * the virtual engine must both reproduce the scalar path bit for
- * bit on @p idle before any of their times can count.
+ * Equivalence gate shared by every dimension: the kernel engine must
+ * reproduce the scalar path bit for bit on @p idle before any of its
+ * times can count.
  */
 void
 checkEquivalence(const harness::IdleProfile &idle,
@@ -215,19 +206,12 @@ checkEquivalence(const harness::IdleProfile &idle,
                  const std::vector<std::string> &keys,
                  const char *what)
 {
-    replay::ReplayOptions virt;
-    virt.use_kernels = false;
     const auto kernel = replay::replayProfile(idle, points, keys);
-    const auto virtual_path =
-        replay::replayProfile(idle, points, keys, virt);
     for (std::size_t t = 0; t < points.size(); ++t) {
         const auto scalar =
             api::evaluateProfile(idle, points[t], keys);
         if (!sameResults(kernel[t], scalar))
             fatal("kernel/scalar mismatch: %s at p=%g", what,
-                  points[t].p);
-        if (!sameResults(virtual_path[t], scalar))
-            fatal("virtual/scalar mismatch: %s at p=%g", what,
                   points[t].p);
     }
 }
@@ -267,12 +251,6 @@ measureGrid(const std::vector<harness::WorkloadSim> &sims,
         for (const auto &ws : sims)
             replay::replayProfile(ws.idle, points, keys);
     });
-    replay::ReplayOptions virt;
-    virt.use_kernels = false;
-    grid.virtual_ms = timeMs([&] {
-        for (const auto &ws : sims)
-            replay::replayProfile(ws.idle, points, keys, virt);
-    });
     return grid;
 }
 
@@ -298,10 +276,10 @@ syntheticProfile(std::size_t distinct)
 }
 
 /**
- * Kernel-vs-virtual on the dense synthetic grid under @p keys. The
+ * Scalar vs engine on the dense synthetic grid under @p keys. The
  * IntervalSet is flattened once outside the timed region (a sweep
- * flattens once per workload regardless of replay path); each
- * iteration pays engine construction, replay, and finalize.
+ * flattens once per workload); each engine iteration pays engine
+ * construction, replay, and finalize.
  */
 GridResult
 measureDense(const harness::IdleProfile &idle,
@@ -327,13 +305,6 @@ measureDense(const harness::IdleProfile &idle,
     });
     grid.multi_ms = timeMs([&] {
         replay::MultiPointReplay engine(set, points, keys);
-        engine.runAll();
-        (void)engine.finalize();
-    });
-    replay::ReplayOptions virt;
-    virt.use_kernels = false;
-    grid.virtual_ms = timeMs([&] {
-        replay::MultiPointReplay engine(set, points, keys, virt);
         engine.runAll();
         (void)engine.finalize();
     });
@@ -685,10 +656,10 @@ measureAdaptiveWidths(const api::SweepResult &sweep)
             runs += count;
     }
     kernels::KernelBatch batch(sleep::KernelSpec::Kind::Adaptive);
+    const auto adaptive =
+        sleep::PolicyRegistry::instance().resolve("adaptive");
     for (const auto &mp : sweep.technologies)
-        batch.addLane(sleep::PolicyRegistry::instance()
-                          .make("adaptive", mp)
-                          ->kernelSpec());
+        batch.addLane(adaptive.spec(mp));
 
     std::vector<WidthResult> out;
     std::vector<std::vector<double>> baseline;
@@ -735,7 +706,6 @@ main(int argc, char **argv)
 
     std::string json_path = "BENCH_replay.json";
     double min_speedup = 0.0;
-    double min_kernel_speedup = 0.0;
     double min_threaded_speedup = 0.0;
     std::vector<char *> passthrough{argv[0]};
     for (int i = 1; i < argc; ++i) {
@@ -744,9 +714,6 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--min-speedup") == 0 &&
                  i + 1 < argc)
             min_speedup = std::strtod(argv[++i], nullptr);
-        else if (std::strcmp(argv[i], "--min-kernel-speedup") == 0 &&
-                 i + 1 < argc)
-            min_kernel_speedup = std::strtod(argv[++i], nullptr);
         else if (std::strcmp(argv[i], "--min-threaded-speedup") ==
                      0 &&
                  i + 1 < argc)
@@ -798,15 +765,13 @@ main(int argc, char **argv)
             best_threaded = std::max(best_threaded, t.speedup);
 
     Table table({"grid", "points", "intervals", "units",
-                 "scalar (ms)", "virtual (ms)", "kernel (ms)",
-                 "vs scalar", "vs virtual"});
+                 "scalar (ms)", "engine (ms)", "vs scalar"});
     const auto addRow = [&](const char *name, const GridResult &g) {
         table.addRow({name, std::to_string(g.points),
                       std::to_string(g.distinct_intervals),
                       std::to_string(g.units),
-                      fixed(g.scalar_ms, 3), fixed(g.virtual_ms, 3),
-                      fixed(g.multi_ms, 3), fixed(g.speedup(), 2),
-                      fixed(g.kernelSpeedup(), 2)});
+                      fixed(g.scalar_ms, 3), fixed(g.multi_ms, 3),
+                      fixed(g.speedup(), 2)});
     };
     for (const auto &g : results)
         addRow("workloads", g);
@@ -870,10 +835,9 @@ main(int argc, char **argv)
     std::cout << "\nReference grid (" << kReferencePoints
               << " points x " << sims.size()
               << " workloads): " << fixed(reference.speedup(), 2)
-              << "x vs scalar; dense kernel path "
-              << fixed(dense.kernelSpeedup(), 2)
-              << "x vs virtual dispatch (adaptive "
-              << fixed(dense_adaptive.kernelSpeedup(), 2) << "x)\n";
+              << "x vs scalar; dense grid "
+              << fixed(dense.speedup(), 2) << "x vs scalar (adaptive "
+              << fixed(dense_adaptive.speedup(), 2) << "x)\n";
 
     std::ofstream out(json_path);
     if (!out) {
@@ -898,9 +862,7 @@ main(int argc, char **argv)
             w.field("units", static_cast<std::uint64_t>(g.units));
             w.field("scalar_ms", g.scalar_ms);
             w.field("multi_ms", g.multi_ms);
-            w.field("virtual_ms", g.virtual_ms);
             w.field("speedup", g.speedup());
-            w.field("kernel_speedup", g.kernelSpeedup());
             w.endObject();
         }
         w.endArray();
@@ -913,9 +875,7 @@ main(int argc, char **argv)
             w.field("units", static_cast<std::uint64_t>(g.units));
             w.field("scalar_ms", g.scalar_ms);
             w.field("multi_ms", g.multi_ms);
-            w.field("virtual_ms", g.virtual_ms);
             w.field("speedup", g.speedup());
-            w.field("kernel_speedup", g.kernelSpeedup());
             w.endObject();
         };
         denseObject("dense", dense);
@@ -992,10 +952,8 @@ main(int argc, char **argv)
         w.field("workloads",
                 static_cast<std::uint64_t>(reference.workloads));
         w.field("speedup", reference.speedup());
-        w.field("kernel_speedup", dense.kernelSpeedup());
         w.field("threaded_speedup", best_threaded);
         w.field("min_required", min_speedup);
-        w.field("min_kernel_required", min_kernel_speedup);
         w.field("min_threaded_required", min_threaded_speedup);
         w.endObject();
         w.endObject();
@@ -1008,14 +966,6 @@ main(int argc, char **argv)
         std::cerr << "bench_replay_perf: reference speedup "
                   << fixed(reference.speedup(), 2) << "x below the "
                   << fixed(min_speedup, 2) << "x gate\n";
-        rc = 1;
-    }
-    if (min_kernel_speedup > 0.0 &&
-        dense.kernelSpeedup() < min_kernel_speedup) {
-        std::cerr << "bench_replay_perf: dense kernel speedup "
-                  << fixed(dense.kernelSpeedup(), 2)
-                  << "x below the "
-                  << fixed(min_kernel_speedup, 2) << "x gate\n";
         rc = 1;
     }
     if (min_threaded_speedup > 0.0 &&

@@ -229,19 +229,16 @@ detail::ReplayDriver::run(unsigned threads, ThreadPool *pool,
     }
     throwIfCancelled();
 
-    // Kernel-vs-fallback coverage, read off the engines here so the
-    // replay module itself stays free of the obs registry (and of
-    // clocks — its determinism lint rule is textual).
+    // Kernel coverage, read off the engines here so the replay
+    // module itself stays free of the obs registry (and of clocks —
+    // its determinism lint rule is textual).
     {
-        std::uint64_t kernel = 0, fallback = 0, groups = 0;
+        std::uint64_t kernel = 0, groups = 0;
         for (const auto &job : jobs_) {
-            const std::size_t k = job.engine->numKernelUnits();
-            kernel += k;
-            fallback += job.engine->numUnits() - k;
+            kernel += job.engine->numKernelUnits();
             groups += job.engine->numKernelGroups();
         }
         obs::counter("replay.kernel_units").add(kernel);
-        obs::counter("replay.fallback_units").add(fallback);
         obs::counter("replay.kernel_groups").add(groups);
         obs::counter("replay.engines")
             .add(static_cast<std::uint64_t>(jobs_.size()));

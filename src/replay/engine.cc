@@ -1,9 +1,9 @@
 #include "replay/engine.hh"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "sleep/controllers.hh"
 #include "sleep/policy_registry.hh"
@@ -102,8 +102,8 @@ MultiPointReplay::MultiPointReplay(
     const std::size_t num_policies = policy_keys_.size();
     unit_of_.resize(points_.size() * num_policies);
 
-    // Resolve each spec once (parse + registry lookup), then build
-    // one controller per (point, policy), deduplicating accumulator
+    // Resolve each spec once (parse + registry lookup), then take
+    // one KernelSpec per (point, policy), deduplicating accumulator
     // units by structural configuration: the per-interval accounting
     // of a point-invariant policy is computed once and fanned out to
     // every consuming (point, policy) slot at finalize() time.
@@ -115,31 +115,17 @@ MultiPointReplay::MultiPointReplay(
 
     for (std::size_t t = 0; t < points_.size(); ++t) {
         for (std::size_t k = 0; k < num_policies; ++k) {
-            // SpecFn-registered policies classify without building a
-            // controller; the rest are built and asked. Equal specs
-            // accumulate bit-identical counts; a Kind::None policy
-            // equals nothing, not even itself at another point.
-            sleep::KernelSpec spec = resolved[k].trySpec(points_[t]);
-            std::unique_ptr<sleep::SleepController> ctrl;
-            if (!spec.hasKernel()) {
-                ctrl = resolved[k].make(points_[t]);
-                spec = ctrl->kernelSpec();
-            }
-            std::size_t unit = units_.size();
-            if (spec.hasKernel()) {
-                for (std::size_t u = 0; u < units_.size(); ++u) {
-                    if (units_[u].spec == spec) {
-                        unit = u;
-                        break;
-                    }
-                }
-            }
+            // Equal specs accumulate bit-identical counts.
+            sleep::KernelSpec spec = resolved[k].spec(points_[t]);
+            std::size_t unit = 0;
+            while (unit < units_.size() && units_[unit].spec != spec)
+                ++unit;
             if (unit == units_.size()) {
-                Unit fresh;
-                fresh.proto =
-                    ctrl ? std::move(ctrl) : spec.makeController();
-                fresh.spec = std::move(spec);
-                units_.push_back(std::move(fresh));
+                // One controller per unit names it (and refuses
+                // parameters the policy cannot take).
+                std::string name = spec.makeController()->name();
+                units_.push_back(
+                    Unit{std::move(spec), std::move(name), {}});
             }
             unit_of_[t * num_policies + k] = unit;
         }
@@ -155,41 +141,33 @@ MultiPointReplay::MultiPointReplay(
     chunk_bounds_ = chunkBounds(intervals_, chunk_intervals);
     num_chunks_ = chunk_bounds_.size() - 1;
 
-    // Kernel path: gather units into one batch per policy kind —
-    // one SoA lane per deduplicated configuration, so a single pass
-    // over the interval arrays fills every technology point's
-    // accumulator for that policy. Adaptive lanes each walk the
-    // whole stream and never shard, so they batch one kernel block
-    // per group, and so per task: a one-workload sweep spreads its
-    // lanes over the pool, and only its last group holds a partial
-    // block (34 points make 3 groups of up to 16 at 512 bits).
-    if (options.use_kernels) {
-        const std::size_t adaptive_lanes = kernels::adaptiveBlockLanes();
-        for (std::size_t u = 0; u < units_.size(); ++u) {
-            const sleep::KernelSpec &spec = units_[u].spec;
-            if (!spec.hasKernel())
-                continue;
-            KernelGroup *group = nullptr;
-            for (auto &g : groups_)
-                if (g.batch.kind() == spec.kind &&
-                    (spec.historyFree() ||
-                     g.batch.lanes() < adaptive_lanes))
-                    group = &g;
-            if (!group) {
-                groups_.push_back(KernelGroup{
-                    kernels::KernelBatch(spec.kind), {}, {}, {}});
-                group = &groups_.back();
-            }
-            group->batch.addLane(spec);
-            group->units.push_back(u);
-            units_[u].kernel = true;
+    // Gather units into one batch per policy kind — one SoA lane per
+    // deduplicated configuration, so a single pass over the interval
+    // arrays fills every technology point's accumulator for that
+    // policy. Adaptive lanes each walk the whole stream and never
+    // shard, so they batch one kernel block per group, and so per
+    // task: a one-workload sweep spreads its lanes over the pool, and
+    // only its last group holds a partial block (34 points make 3
+    // groups of up to 16 at 512 bits).
+    const std::size_t adaptive_lanes = kernels::adaptiveBlockLanes();
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+        const sleep::KernelSpec &spec = units_[u].spec;
+        KernelGroup *group = nullptr;
+        for (auto &g : groups_)
+            if (g.batch.kind() == spec.kind &&
+                (spec.historyFree() || g.batch.lanes() < adaptive_lanes))
+                group = &g;
+        if (!group) {
+            groups_.push_back(
+                KernelGroup{kernels::KernelBatch(spec.kind), {}, {}, {}});
+            group = &groups_.back();
         }
+        group->batch.addLane(spec);
+        group->units.push_back(u);
     }
 
     // Schedulable tasks: one per (group, chunk) for history-free
-    // kernel batches, one per (unit, chunk) for shardable fallback
-    // units, and one whole-stream task for every Adaptive group and
-    // every fallback unit that cannot shard.
+    // groups, and one whole-stream task for every Adaptive group.
     for (std::size_t g = 0; g < groups_.size(); ++g) {
         const std::size_t first_unit = groups_[g].units.front();
         if (num_chunks_ > 1 && units_[first_unit].spec.historyFree()) {
@@ -197,22 +175,11 @@ MultiPointReplay::MultiPointReplay(
             for (std::size_t c = 0; c < num_chunks_; ++c) {
                 groups_[g].partial_banks[c].resize(
                     groups_[g].batch.lanes());
-                tasks_.push_back({true, g, c});
+                tasks_.push_back({g, c});
             }
         } else {
             groups_[g].bank.resize(groups_[g].batch.lanes());
-            tasks_.push_back({true, g, Task::npos});
-        }
-    }
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-        if (units_[u].kernel)
-            continue;
-        if (units_[u].spec.historyFree() && num_chunks_ > 1) {
-            units_[u].partials.resize(num_chunks_);
-            for (std::size_t c = 0; c < num_chunks_; ++c)
-                tasks_.push_back({false, u, c});
-        } else {
-            tasks_.push_back({false, u, Task::npos});
+            tasks_.push_back({g, Task::npos});
         }
     }
 }
@@ -255,30 +222,8 @@ void
 MultiPointReplay::assertUsable(const char *call) const
 {
     if (moved_from_)
-        fatal("MultiPointReplay::%s: engine was moved from", call);
-}
-
-std::size_t
-MultiPointReplay::numKernelUnits() const
-{
-    std::size_t n = 0;
-    for (const auto &unit : units_)
-        n += unit.kernel ? 1 : 0;
-    return n;
-}
-
-void
-MultiPointReplay::replayRange(sleep::SleepController &ctrl,
-                              std::size_t begin, std::size_t end,
-                              bool with_active) const
-{
-    // The exact scalar call sequence (api::evaluateProfile via
-    // PolicyEvaluator): the active total first, skipped when zero,
-    // then each distinct interval length ascending.
-    if (with_active && intervals_.active_cycles > 0)
-        ctrl.activeRun(intervals_.active_cycles);
-    for (std::size_t i = begin; i < end; ++i)
-        ctrl.idleRuns(intervals_.lengths[i], intervals_.counts[i]);
+        throw std::logic_error("MultiPointReplay::" + std::string(call) +
+                               ": engine was moved from");
 }
 
 void
@@ -286,32 +231,17 @@ MultiPointReplay::runTask(std::size_t index)
 {
     assertUsable("runTask");
     const Task task = tasks_.at(index);
-    if (task.kernel) {
-        KernelGroup &group = groups_[task.index];
-        if (task.chunk == Task::npos) {
-            group.batch.run(intervals_, 0, intervals_.numDistinct(),
-                            true, group.bank);
-        } else {
-            // The activeRun prefix belongs to chunk 0 so the merged
-            // total matches the sequential accounting.
-            group.batch.run(intervals_, chunk_bounds_[task.chunk],
-                            chunk_bounds_[task.chunk + 1],
-                            task.chunk == 0,
-                            group.partial_banks[task.chunk]);
-        }
-        return;
-    }
-    Unit &unit = units_[task.index];
+    KernelGroup &group = groups_[task.group];
     if (task.chunk == Task::npos) {
-        replayRange(*unit.proto, 0, intervals_.numDistinct(), true);
+        group.batch.run(intervals_, 0, intervals_.numDistinct(), true,
+                        group.bank);
         return;
     }
-    // Sharded fallback: a fresh controller (reconstructed from the
-    // unit's KernelSpec) accumulates this chunk's partial counts.
-    auto ctrl = unit.spec.makeController();
-    replayRange(*ctrl, chunk_bounds_[task.chunk],
-                chunk_bounds_[task.chunk + 1], task.chunk == 0);
-    unit.partials[task.chunk] = ctrl->counts();
+    // The activeRun prefix belongs to chunk 0 so the merged total
+    // matches the sequential accounting.
+    group.batch.run(intervals_, chunk_bounds_[task.chunk],
+                    chunk_bounds_[task.chunk + 1], task.chunk == 0,
+                    group.partial_banks[task.chunk]);
 }
 
 void
@@ -327,22 +257,12 @@ MultiPointReplay::finalize()
 {
     assertUsable("finalize");
     if (finalized_)
-        fatal("MultiPointReplay::finalize: called twice");
+        throw std::logic_error("MultiPointReplay::finalize: called twice");
     finalized_ = true;
 
-    for (Unit &unit : units_) {
-        if (unit.kernel)
-            continue; // gathered from its kernel group below
-        if (unit.partials.empty()) {
-            unit.counts = unit.proto->counts();
-            continue;
-        }
-        // Merge partials in chunk order: deterministic for any
-        // thread assignment (though the reduction order differs
-        // from the unsharded sequential accumulation).
-        for (const auto &partial : unit.partials)
-            unit.counts += partial;
-    }
+    // Merge partial banks in chunk order: deterministic for any
+    // thread assignment (though the reduction order differs from the
+    // unsharded sequential accumulation).
     for (const KernelGroup &group : groups_) {
         for (std::size_t lane = 0; lane < group.units.size();
              ++lane) {
@@ -370,7 +290,7 @@ MultiPointReplay::finalize()
             const Unit &unit =
                 units_[unit_of_[t * policy_keys_.size() + k]];
             sleep::PolicyResult r;
-            r.name = unit.proto->name();
+            r.name = unit.name;
             r.counts = unit.counts;
             r.breakdown = model.breakdown(r.counts);
             r.energy = r.breakdown.total();

@@ -22,7 +22,8 @@
  *     sorted, contiguous length/count arrays (IntervalSet) that every
  *     unit streams over, instead of re-walking a std::map per cell
  *     and re-feeding the evaluator's idle recorder.
- *  3. Every controller reporting a KernelSpec has a batch kernel.
+ *  3. Every policy is a KernelSpec (the registry maps each policy
+ *     spec to one), and every KernelSpec kind has a batch kernel.
  *     For a history-free policy the per-interval accounting is a
  *     closed form of the interval length, so the units that dedup
  *     could NOT collapse — per-point gradual slice counts, timeout
@@ -33,37 +34,32 @@
  *     (unit, length). Adaptive carries an EWMA prediction from run
  *     to run, so its kernel steps each lane through every run in
  *     stream order, a few lanes at a time, with the controller's
- *     exact arithmetic. This is the default;
- *     ReplayOptions::use_kernels = false restores per-unit virtual
- *     dispatch for equivalence testing and benchmarking.
+ *     exact arithmetic. Adding a policy therefore means four
+ *     things: a KernelSpec::Kind, its kernel, its controller (the
+ *     scalar reference) and a registry entry.
  *  4. For very long simulations the sorted interval array can be
  *     sharded into chunks aligned to Log2Histogram bucket boundaries;
  *     chunks of history-free units replay into independent partial
- *     accumulators (a fresh controller or kernel bank per chunk)
- *     that are merged in chunk order, so phase 2 parallelizes below
- *     cell granularity yet stays deterministic for any thread count.
+ *     kernel banks that are merged in chunk order, so phase 2
+ *     parallelizes below cell granularity yet stays deterministic
+ *     for any thread count.
  *
  * Equivalence contract: with a single chunk (the default below the
  * auto-shard threshold) every accumulator receives the exact
  * floating-point operation sequence of the scalar path —
  * activeRun(active_cycles) then idleRuns(len, count) in ascending
- * length order, whether executed through the controller virtuals or
- * the batch kernels (which replicate the controllers' arithmetic
- * expression for expression) — so results are bit-identical to
- * api::evaluateProfile either way, and no equivalence flag guards
- * the kernel path. With multiple chunks the per-chunk partial
- * sums are merged in chunk order; the reduction order differs, so
- * results agree only to ~1e-12 relative (tested), which is why
- * sharding engages only above the threshold or on request.
+ * length order, which the batch kernels replicate expression for
+ * expression — so results are bit-identical to api::evaluateProfile,
+ * and no equivalence flag guards the kernel path. With multiple
+ * chunks the per-chunk partial sums are merged in chunk order; the
+ * reduction order differs, so results agree only to ~1e-12 relative
+ * (tested), which is why sharding engages only above the threshold
+ * or on request.
  *
  * Adaptive is never sharded: a chunk would restart its prediction.
  * Its kernel lanes instead split into groups of one kernel block
  * (4 to 16 lanes, by vector width), one whole-stream task each, so
- * a one-workload sweep still spreads over the pool. External
- * registrations that do not override SleepController::kernelSpec()
- * can be neither kernelized nor sharded: they replay the whole
- * interval set sequentially per (point, policy), as their own
- * parallel task (the fallback path).
+ * a one-workload sweep still spreads over the pool.
  *
  * The stream each unit reads is the interval multiset in ascending
  * length order. A history-free policy needs only the multiset;
@@ -77,7 +73,6 @@
 #define LSIM_REPLAY_ENGINE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -124,14 +119,6 @@ struct ReplayOptions
      */
     std::size_t chunk_intervals = 0;
 
-    /**
-     * Replay every policy with a KernelSpec through the batch
-     * kernels (bit-exact; the default). false restores the per-unit
-     * virtual-dispatch replay — same results, kept for equivalence
-     * tests and the kernel-vs-virtual benchmark dimension.
-     */
-    bool use_kernels = true;
-
     /** Auto mode shards only above this many distinct lengths. */
     static constexpr std::size_t auto_shard_threshold = 4096;
 
@@ -172,7 +159,8 @@ class MultiPointReplay
     /**
      * Moves transfer the whole replay; the moved-from engine keeps
      * no usable state and its runTask()/runAll()/finalize() entry
-     * points fatal() instead of silently replaying emptied vectors.
+     * points throw std::logic_error instead of silently replaying
+     * emptied vectors.
      */
     MultiPointReplay(MultiPointReplay &&other) noexcept;
     MultiPointReplay &operator=(MultiPointReplay &&other) noexcept;
@@ -192,7 +180,7 @@ class MultiPointReplay
     /**
      * Merge chunk partials and build per-point results, in the exact
      * arithmetic of PolicyEvaluator::results(). Call once, after
-     * every task has run.
+     * every task has run; a second call throws std::logic_error.
      *
      * @return results[point][policy], policies in policy-key order.
      */
@@ -216,8 +204,9 @@ class MultiPointReplay
      * lanes. */
     std::size_t numKernelGroups() const { return groups_.size(); }
 
-    /** Units replayed through batch kernels (vs the fallback). */
-    std::size_t numKernelUnits() const;
+    /** Units replayed through batch kernels: every unit, so this
+     * equals numUnits(). */
+    std::size_t numKernelUnits() const { return units_.size(); }
 
     /** Chunks the interval stream was sharded into (>= 1). */
     std::size_t numChunks() const { return num_chunks_; }
@@ -228,30 +217,20 @@ class MultiPointReplay
     /** One deduplicated (policy-config, point-set) accumulator. */
     struct Unit
     {
-        /** Prototype controller; supplies name(), and accumulates
-         * directly for unchunked fallback units. */
-        std::unique_ptr<sleep::SleepController> proto;
-
-        /** Self-classification; equal specs share one unit. Units
-         * with a kernel replay (by default) through batch kernels,
-         * historyFree() ones may shard, and Kind::None units take
-         * the sequential fallback path. */
+        /** The configuration; equal specs share one unit. */
         sleep::KernelSpec spec;
 
-        /** True when a kernel group lane accumulates this unit. */
-        bool kernel = false;
+        /** The policy's report name, from its controller. */
+        std::string name;
 
-        /** Per-chunk partial counts (chunk order), when the unit is
-         * sharded on the fallback/virtual path. */
-        std::vector<energy::CycleCounts> partials;
-
-        /** Merged counts, filled by finalize(). */
+        /** Counts, gathered from the unit's kernel lane by
+         * finalize(). */
         energy::CycleCounts counts;
     };
 
-    /** One batched kernel: the kernelized units of one policy kind
-     * (every one, or one kernel block for Adaptive), one SoA
-     * accumulator lane per unit. */
+    /** One batched kernel: the units of one policy kind (every one,
+     * or one kernel block for Adaptive), one SoA accumulator lane
+     * per unit. */
     struct KernelGroup
     {
         kernels::KernelBatch batch;
@@ -262,21 +241,15 @@ class MultiPointReplay
     };
 
     /** A schedulable piece: one chunk (or the whole stream) of one
-     * unit or kernel group. chunk == npos spans the full set. */
+     * kernel group. chunk == npos spans the full set. */
     struct Task
     {
-        bool kernel = false; ///< index addresses groups_, not units_
-        std::size_t index = 0;
+        std::size_t group = 0;
         std::size_t chunk = npos;
         static constexpr std::size_t npos = ~std::size_t{0};
     };
 
-    /** Feed [begin, end) of the interval arrays into a controller,
-     * with the activeRun prefix when @p with_active. */
-    void replayRange(sleep::SleepController &ctrl, std::size_t begin,
-                     std::size_t end, bool with_active) const;
-
-    /** fatal() when this engine was moved from. */
+    /** Throw std::logic_error when this engine was moved from. */
     void assertUsable(const char *call) const;
 
     IntervalSet intervals_;

@@ -69,27 +69,15 @@ KernelBatch::addLane(const sleep::KernelSpec &spec)
         ewma_weights_.push_back(spec.ewma_weight);
         break;
     case Kind::WeightedGradual: {
-        // The asleep-after prefix sums, accumulated exactly as the
-        // WeightedGradualSleepController constructor does (the
-        // doIdleRuns arithmetic reads them).
-        std::vector<double> prefix;
-        prefix.reserve(spec.weights.size());
-        double total = 0.0;
-        for (double w : spec.weights) {
-            total += w;
-            prefix.push_back(total);
-        }
-        if (prefix.empty())
-            throw std::invalid_argument("KernelBatch::addLane: "
-                                        "weighted-gradual without weights");
-        prefix.back() = 1.0; // exact despite rounding, as in the ctor
+        // The controller's own prefix sums (its doIdleRuns
+        // arithmetic reads them), and its check of the weights.
+        auto prefix =
+            sleep::WeightedGradualSleepController::asleepAfter(
+                spec.weights);
         weight_sets_.push_back(spec.weights);
         prefix_sets_.push_back(std::move(prefix));
         break;
     }
-    case Kind::None:
-        throw std::invalid_argument(
-            "KernelBatch::addLane: Kind::None has no kernel");
     }
     return lanes_++;
 }
@@ -101,7 +89,7 @@ namespace
  * The per-interval lane loops below mirror each controller's
  * doIdleRuns() expression for expression — including intermediate
  * rounding — so each lane's accumulator receives the identical
- * floating-point operation sequence the virtual path would produce.
+ * floating-point operation sequence the controller would perform.
  */
 
 void
@@ -632,7 +620,8 @@ KernelBatch::runAt(unsigned adaptive_width, const IntervalSet &set,
             "KernelBatch::run: bank has " + std::to_string(bank.lanes()) +
             " lanes, batch " + std::to_string(lanes_));
     // The scalar call sequence opens with the active total (skipped
-    // when zero), exactly like MultiPointReplay::replayRange.
+    // when zero), exactly like api::evaluateProfile's
+    // PolicyEvaluator walk.
     if (with_active && set.active_cycles > 0) {
         const double active = static_cast<double>(set.active_cycles);
         for (std::size_t u = 0; u < lanes_; ++u)
@@ -666,10 +655,8 @@ KernelBatch::runAt(unsigned adaptive_width, const IntervalSet &set,
         runAdaptive(adaptiveKernelAt(adaptive_width), breakevens_,
                     ewma_weights_, set, begin, end, bank);
         return;
-    case Kind::None:
-        break;
     }
-    // addLane admits no Kind::None lane, so no batch gets here.
+    // Every kind returns above; only a corrupt kind gets here.
     throw std::logic_error("KernelBatch::run: bad kind " +
                            std::to_string(static_cast<int>(kind_)));
 }

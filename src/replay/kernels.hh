@@ -2,9 +2,9 @@
  * @file
  * Batch replay kernels: one pass fills every lane of a policy kind.
  *
- * The replay engine's inner loop was one virtual idleRuns() dispatch
- * per (accumulator unit, distinct interval length). For a policy
- * with a KernelSpec, the whole replay over the flattened IntervalSet
+ * The scalar reference makes one virtual idleRuns() call per
+ * (controller, distinct interval length). Since every policy is a
+ * KernelSpec, the whole replay over the flattened IntervalSet
  * arrays collapses into branch-regular array kernels: one pass over
  * the length/count arrays fills the accumulators of *every*
  * distinct configuration ("lane") of that policy kind at once — the
@@ -45,8 +45,8 @@
  * the corresponding controller's doIdleRuns() calls in stream order
  * (the scalar path's order) — for Adaptive, doIdleRun() once per
  * run, where a select that leaves a field unchanged adds +0.0 to a
- * non-negative total. Kernel results therefore equal the
- * virtual-dispatch path to the last bit — verified by
+ * non-negative total. Kernel results therefore equal the scalar
+ * reference (api::evaluateProfile) to the last bit — verified by
  * test_replay_kernels across randomized interval sets — and the
  * engine needs no equivalence flag for the unchunked kernel path.
  */
@@ -122,9 +122,10 @@ class KernelBatch
     std::size_t lanes() const { return lanes_; }
 
     /**
-     * Append one configuration; @p spec must have a kernel and be of
-     * this batch's kind, or std::invalid_argument is thrown and the
-     * batch is unchanged. @return the new lane index.
+     * Append one configuration; @p spec must be of this batch's
+     * kind, a Gradual spec needs slices and a WeightedGradual one
+     * weights that sum to 1, or std::invalid_argument is thrown and
+     * the batch is unchanged. @return the new lane index.
      */
     std::size_t addLane(const sleep::KernelSpec &spec);
 

@@ -131,25 +131,34 @@ GradualSleepController::reset()
 
 WeightedGradualSleepController::WeightedGradualSleepController(
     std::vector<double> weights)
-    : weights_(std::move(weights))
+    : weights_(std::move(weights)), asleep_after_(asleepAfter(weights_))
 {
-    if (weights_.empty())
+}
+
+std::vector<double>
+WeightedGradualSleepController::asleepAfter(
+    const std::vector<double> &weights)
+{
+    if (weights.empty())
         throw std::invalid_argument(
             "WeightedGradualSleepController: no slices");
+    std::vector<double> prefix;
+    prefix.reserve(weights.size());
     double total = 0.0;
-    for (double w : weights_) {
+    for (double w : weights) {
         if (w <= 0.0)
             throw std::invalid_argument(
                 "WeightedGradualSleepController: slice weight " +
                 std::to_string(w) + " must be positive");
         total += w;
-        asleep_after_.push_back(total);
+        prefix.push_back(total);
     }
     if (std::abs(total - 1.0) > 1e-9)
         throw std::invalid_argument(
             "WeightedGradualSleepController: weights sum to " +
             std::to_string(total) + ", expected 1");
-    asleep_after_.back() = 1.0; // exact despite rounding
+    prefix.back() = 1.0; // exact despite rounding
+    return prefix;
 }
 
 std::vector<double>

@@ -16,6 +16,14 @@
  * "would a more complex control strategy be warranted?" ablation:
  * a classic timeout policy and an oracle that knows each idle
  * interval's length in advance.
+ *
+ * Each controller is the scalar reference of one
+ * sleep::KernelSpec kind: KernelSpec::makeController() builds it,
+ * api::evaluateProfile replays through it, and the replay engine's
+ * batch kernels (replay/kernels.hh) reproduce its arithmetic bit for
+ * bit. Adding a policy means four things: a KernelSpec::Kind, its
+ * kernel, its controller here, and a registry entry
+ * (sleep/policy_registry.cc).
  */
 
 #ifndef LSIM_SLEEP_CONTROLLERS_HH
@@ -27,7 +35,6 @@
 
 #include "common/types.hh"
 #include "energy/model.hh"
-#include "sleep/kernel_spec.hh"
 
 namespace lsim::sleep
 {
@@ -116,16 +123,6 @@ class SleepController
     /** Policy name for reports. */
     virtual std::string name() const = 0;
 
-    /**
-     * Self-classification for batch replay (see kernel_spec.hh):
-     * built-in policies report their kernel parameters so the
-     * replay engine can deduplicate and kernelize them (and shard
-     * the history-free ones). The default — kept by any external
-     * registration that does not opt in — reports Kind::None, which
-     * routes the policy onto the virtual-dispatch fallback path.
-     */
-    virtual KernelSpec kernelSpec() const { return {}; }
-
     /** Accumulated operating-category counts. */
     const energy::CycleCounts &counts() const { return counts_; }
 
@@ -164,13 +161,6 @@ class AlwaysActiveController : public SleepController
   public:
     std::string name() const override { return "AlwaysActive"; }
 
-    KernelSpec kernelSpec() const override
-    {
-        KernelSpec spec;
-        spec.kind = KernelSpec::Kind::AlwaysActive;
-        return spec;
-    }
-
   protected:
     void doIdleRun(Cycle len) override;
     void doIdleRuns(Cycle len, std::uint64_t count) override;
@@ -181,13 +171,6 @@ class MaxSleepController : public SleepController
 {
   public:
     std::string name() const override { return "MaxSleep"; }
-
-    KernelSpec kernelSpec() const override
-    {
-        KernelSpec spec;
-        spec.kind = KernelSpec::Kind::MaxSleep;
-        return spec;
-    }
 
   protected:
     void doIdleRun(Cycle len) override;
@@ -202,13 +185,6 @@ class NoOverheadController : public SleepController
 {
   public:
     std::string name() const override { return "NoOverhead"; }
-
-    KernelSpec kernelSpec() const override
-    {
-        KernelSpec spec;
-        spec.kind = KernelSpec::Kind::NoOverhead;
-        return spec;
-    }
 
   protected:
     void doIdleRun(Cycle len) override;
@@ -234,14 +210,6 @@ class GradualSleepController : public SleepController
 
     std::string name() const override { return "GradualSleep"; }
     void reset() override;
-
-    KernelSpec kernelSpec() const override
-    {
-        KernelSpec spec;
-        spec.kind = KernelSpec::Kind::Gradual;
-        spec.slices = slices_;
-        return spec;
-    }
 
     unsigned numSlices() const { return slices_; }
 
@@ -275,15 +243,18 @@ class WeightedGradualSleepController : public SleepController
         return "WeightedGradualSleep";
     }
 
-    KernelSpec kernelSpec() const override
-    {
-        KernelSpec spec;
-        spec.kind = KernelSpec::Kind::WeightedGradual;
-        spec.weights = weights_;
-        return spec;
-    }
-
     const std::vector<double> &weights() const { return weights_; }
+
+    /**
+     * The prefix sums of @p weights: entry i is the fraction of the
+     * unit asleep once slice i has transitioned, the last forced to
+     * exactly 1. This is the one check of a weight set, shared by
+     * the constructor, the registry and the replay kernel: throws
+     * std::invalid_argument unless the weights are non-empty,
+     * positive and sum to 1 (within 1e-9).
+     */
+    static std::vector<double>
+    asleepAfter(const std::vector<double> &weights);
 
     /**
      * A 64-bit-datapath default inspired by operand-width studies:
@@ -315,14 +286,6 @@ class TimeoutController : public SleepController
 
     std::string name() const override;
 
-    KernelSpec kernelSpec() const override
-    {
-        KernelSpec spec;
-        spec.kind = KernelSpec::Kind::Timeout;
-        spec.timeout = timeout_;
-        return spec;
-    }
-
     Cycle timeout() const { return timeout_; }
 
   protected:
@@ -349,14 +312,6 @@ class OracleController : public SleepController
     explicit OracleController(double breakeven);
 
     std::string name() const override { return "Oracle"; }
-
-    KernelSpec kernelSpec() const override
-    {
-        KernelSpec spec;
-        spec.kind = KernelSpec::Kind::Oracle;
-        spec.breakeven = breakeven_;
-        return spec;
-    }
 
     double breakeven() const { return breakeven_; }
 
@@ -387,15 +342,6 @@ class AdaptiveController : public SleepController
 
     std::string name() const override { return "Adaptive"; }
     void reset() override;
-
-    KernelSpec kernelSpec() const override
-    {
-        KernelSpec spec;
-        spec.kind = KernelSpec::Kind::Adaptive;
-        spec.breakeven = breakeven_;
-        spec.ewma_weight = weight_;
-        return spec;
-    }
 
     /**
      * The prediction before any interval: the breakeven, clamped to

@@ -1,8 +1,8 @@
 #include "sleep/kernel_spec.hh"
 
 #include <cstdio>
+#include <stdexcept>
 
-#include "common/logging.hh"
 #include "sleep/controllers.hh"
 
 namespace lsim::sleep
@@ -12,8 +12,6 @@ std::string
 KernelSpec::key() const
 {
     switch (kind) {
-    case Kind::None:
-        return "none";
     case Kind::AlwaysActive:
         return "always-active";
     case Kind::MaxSleep:
@@ -47,7 +45,8 @@ KernelSpec::key() const
         return buf;
     }
     }
-    fatal("KernelSpec::key: bad kind %d", static_cast<int>(kind));
+    throw std::logic_error("KernelSpec::key: bad kind " +
+                           std::to_string(static_cast<int>(kind)));
 }
 
 std::unique_ptr<SleepController>
@@ -72,11 +71,9 @@ KernelSpec::makeController() const
     case Kind::Adaptive:
         return std::make_unique<AdaptiveController>(breakeven,
                                                     ewma_weight);
-    case Kind::None:
-        break;
     }
-    fatal("KernelSpec::makeController: '%s' has no closed form",
-          key().c_str());
+    throw std::logic_error("KernelSpec::makeController: bad kind " +
+                           std::to_string(static_cast<int>(kind)));
 }
 
 } // namespace lsim::sleep

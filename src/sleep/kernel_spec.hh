@@ -1,32 +1,29 @@
 /**
  * @file
- * Controller self-classification for batch replay kernels.
+ * The one description of a sleep policy's configuration.
  *
- * A history-free sleep policy's contribution to CycleCounts is a
- * pure function of each idle interval's length, fully determined by
- * a handful of closed-form parameters (slice schedule, timeout,
- * breakeven threshold). KernelSpec is a controller's own statement
- * of those parameters: every built-in controller overrides
- * SleepController::kernelSpec() to describe itself, so the replay
- * engine can
+ * A KernelSpec names a policy kind and the handful of parameters
+ * that fix its accounting (slice schedule, timeout, breakeven, EWMA
+ * weight). The registry maps every policy spec string to a
+ * KernelSpec at a technology point, and everything else follows
+ * from it:
  *
- *  - deduplicate accumulators structurally (two controllers with
- *    equal specs accumulate bit-identical counts),
- *  - replay whole interval arrays through branch-regular batch
- *    kernels (replay/kernels.hh) instead of one virtual dispatch
- *    per interval length, and
- *  - reconstruct fresh controller instances for chunk-sharded
- *    replay without dynamic_cast chains.
+ *  - the replay engine deduplicates accumulators structurally (two
+ *    configurations with equal specs accumulate bit-identical
+ *    counts) and replays each kind's configurations as the lanes of
+ *    one batch kernel (replay/kernels.hh);
+ *  - makeController() builds the scalar reference: the controller
+ *    whose doIdleRuns() arithmetic every kernel reproduces bit for
+ *    bit, and whose name() labels the results.
  *
- * Adaptive is the one built-in policy with history: its EWMA
- * prediction carries from one idle run to the next. Its spec
- * (breakeven plus EWMA weight) still identifies the configuration
- * and has a batch kernel, but the policy is not historyFree(): its
- * stream is never sharded into chunks. Externally registered
- * controllers that do not override kernelSpec() report Kind::None
- * and transparently take the virtual-dispatch fallback path — the
- * registry remains the single source of policy truth, and an
- * unclassified policy is never silently kernelized.
+ * Adding a policy therefore means four things: a Kind here, its
+ * kernel in replay/kernels.cc, its controller in
+ * sleep/controllers.hh (the reference), and a registry entry in
+ * sleep/policy_registry.cc.
+ *
+ * Adaptive is the one kind with history: its EWMA prediction carries
+ * from one idle run to the next, so it is not historyFree() and its
+ * stream is never sharded into chunks.
  */
 
 #ifndef LSIM_SLEEP_KERNEL_SPEC_HH
@@ -45,16 +42,14 @@ namespace lsim::sleep
 class SleepController;
 
 /**
- * Kernel parameters of a policy, as reported by
- * SleepController::kernelSpec(). Only the fields of the reported
- * kind are meaningful; the rest stay value-initialized so the
+ * Kernel parameters of a policy configuration. Only the fields of
+ * its kind are meaningful; the rest stay value-initialized so the
  * defaulted equality compares whole configurations.
  */
 struct KernelSpec
 {
     enum class Kind : std::uint8_t
     {
-        None,            ///< no closed form (history/unknown): fallback
         AlwaysActive,    ///< all idle uncontrolled
         MaxSleep,        ///< sleep from the first idle cycle
         NoOverhead,      ///< MaxSleep with free transitions
@@ -65,7 +60,7 @@ struct KernelSpec
         Adaptive,        ///< EWMA predictor; `breakeven`, `ewma_weight`
     };
 
-    Kind kind = Kind::None;
+    Kind kind = Kind::AlwaysActive;
     unsigned slices = 0;          ///< Gradual slice count (>= 1)
     Cycle timeout = 0;            ///< Timeout threshold, cycles
     double breakeven = 0.0;       ///< Oracle/Adaptive breakeven, cycles
@@ -77,13 +72,7 @@ struct KernelSpec
      * length alone, so the interval stream may be sharded into
      * chunks. False for Adaptive, whose prediction is history.
      */
-    bool historyFree() const
-    {
-        return kind != Kind::None && kind != Kind::Adaptive;
-    }
-
-    /** True when a batch kernel replays this configuration. */
-    bool hasKernel() const { return kind != Kind::None; }
+    bool historyFree() const { return kind != Kind::Adaptive; }
 
     bool operator==(const KernelSpec &) const = default;
 
@@ -91,9 +80,11 @@ struct KernelSpec
     std::string key() const;
 
     /**
-     * A fresh controller with exactly this configuration — the
-     * chunk-replay counterpart of the prototype controller. fatal()s
-     * on Kind::None (fallback policies cannot be reconstructed).
+     * A fresh controller with exactly this configuration: the
+     * scalar reference the kernels match, and the source of the
+     * policy's report name. Throws std::invalid_argument on
+     * parameters the controller refuses (no slices, weights that do
+     * not sum to 1, an EWMA weight outside (0, 1]).
      */
     std::unique_ptr<SleepController> makeController() const;
 };

@@ -2,13 +2,21 @@
  * @file
  * String-keyed sleep-policy registry.
  *
- * Policies are constructed from specs of the form "key" or
- * "key:arg" — e.g. "gradual", "gradual:16", "timeout:64",
- * "weighted-gradual", "adaptive:0.5" — so CLI flags, JSON configs,
- * tests and the api:: facade all name policies the same way. Every
- * factory receives the technology point (energy::ModelParams), which
+ * Policies are named by specs of the form "key" or "key:arg" — e.g.
+ * "gradual", "gradual:16", "timeout:64", "weighted-gradual",
+ * "adaptive:0.5" — so CLI flags, JSON configs, tests and the api::
+ * facade all name policies the same way. Each key maps to a spec
+ * function: given the technology point (energy::ModelParams), which
  * supplies breakeven-derived defaults (GradualSleep slice count,
- * timeout, oracle threshold).
+ * timeout, oracle threshold), and the argument, it returns the
+ * policy's KernelSpec. Controllers are built from that spec
+ * (KernelSpec::makeController), so a policy is its KernelSpec: the
+ * replay engine kernelizes every registered policy, and adding one
+ * means four things — a KernelSpec::Kind, its kernel, its controller
+ * (the scalar reference) and an entry here.
+ *
+ * The registry is built once, with the built-ins, and nothing writes
+ * it afterwards, so pool threads may read it concurrently.
  *
  * Unlike most of the library (which fatal()s on user error), lookup
  * failures throw std::invalid_argument: the registry sits on the
@@ -27,96 +35,64 @@
 
 #include "energy/params.hh"
 #include "sleep/controllers.hh"
+#include "sleep/kernel_spec.hh"
 
 namespace lsim::sleep
 {
 
-/** Maps policy spec strings to sleep-controller factories. */
+/** Maps policy spec strings to KernelSpecs. */
 class PolicyRegistry
 {
   public:
     /**
-     * Factory signature: @p params is the technology point, @p arg
-     * the text after the ':' in the spec (empty when absent).
-     * Throws std::invalid_argument on a malformed @p arg.
-     */
-    using Factory = std::function<std::unique_ptr<SleepController>(
-        const energy::ModelParams &params, const std::string &arg)>;
-
-    /**
-     * Policies with a batch kernel may register a spec function
-     * instead of a factory: it computes the policy's KernelSpec at
-     * a technology point without constructing a controller, and the
-     * registry derives the factory as spec(params, arg)
-     * .makeController(). This lets the replay engine classify and
-     * deduplicate (point, policy) configurations allocation-free —
-     * a sweep constructs controllers only for distinct
-     * configurations. Same error contract as Factory.
+     * Spec function: @p params is the technology point, @p arg the
+     * text after the ':' in the spec (empty when absent). Throws
+     * std::invalid_argument on a malformed @p arg.
      */
     using SpecFn = std::function<KernelSpec(
         const energy::ModelParams &params, const std::string &arg)>;
 
     /** The process-wide registry, with built-ins registered. */
-    static PolicyRegistry &instance();
+    static const PolicyRegistry &instance();
 
     /**
-     * A spec resolved once — key parsed, factory looked up — so a
-     * sweep can construct the same policy at many technology points
-     * without re-parsing the spec or walking the registry map per
-     * point. Obtained from resolve(); stays valid for the registry's
-     * lifetime (factories are owned by value).
+     * A spec resolved once — key parsed, spec function looked up —
+     * so a sweep can evaluate the same policy at many technology
+     * points without re-parsing the spec or walking the registry map
+     * per point. Obtained from resolve(); holds its spec function by
+     * value.
      */
     class ResolvedSpec
     {
       public:
-        /** Construct the policy at technology point @p params. */
-        std::unique_ptr<SleepController>
-        make(const energy::ModelParams &params) const;
-
         /**
-         * The policy's KernelSpec at @p params, when it was
-         * registered through a SpecFn — allocation-free
-         * classification for the replay engine. Kind::None for
-         * factory-registered policies.
+         * The policy's KernelSpec at @p params — allocation-free
+         * classification for the replay engine. Throws
+         * std::invalid_argument on a malformed argument.
          */
-        KernelSpec trySpec(const energy::ModelParams &params) const
+        KernelSpec spec(const energy::ModelParams &params) const
         {
-            return spec_ ? spec_(params, arg_) : KernelSpec{};
+            return spec_(params, arg_);
         }
 
       private:
         friend class PolicyRegistry;
-        ResolvedSpec(Factory factory, SpecFn spec, std::string arg)
-            : factory_(std::move(factory)), spec_(std::move(spec)),
-              arg_(std::move(arg))
+        ResolvedSpec(SpecFn spec, std::string arg)
+            : spec_(std::move(spec)), arg_(std::move(arg))
         {
         }
 
-        Factory factory_; ///< empty when spec_ is set
         SpecFn spec_;
         std::string arg_;
     };
 
     /**
-     * Parse @p spec and look up its factory once. Throws
+     * Parse @p spec and look up its spec function once. Throws
      * std::invalid_argument for unknown keys, exactly like make();
-     * malformed args surface on the first ResolvedSpec::make() call
-     * (args are factory-validated against the technology point).
+     * malformed args surface on the first ResolvedSpec::spec() call
+     * (args are validated against the technology point).
      */
     ResolvedSpec resolve(const std::string &spec) const;
-
-    /**
-     * Register @p factory under @p key (no ':' allowed). Replaces an
-     * existing registration with the same key.
-     *
-     * @param summary One-line description for listings.
-     */
-    void add(const std::string &key, const std::string &summary,
-             Factory factory);
-
-    /** Register a policy with a batch kernel through its SpecFn. */
-    void add(const std::string &key, const std::string &summary,
-             SpecFn spec);
 
     /**
      * Construct the controller named by @p spec ("key" or
@@ -141,16 +117,6 @@ class PolicyRegistry
     const std::string &summary(const std::string &key) const;
 
     /**
-     * Reverse lookup: the registry spec that reconstructs a
-     * controller equivalent to @p ctrl, derived from its name()
-     * and configuration accessors (e.g. "Timeout(64)" ->
-     * "timeout:64", a weighted-gradual's weights are re-encoded in
-     * the arg). Throws std::invalid_argument when the name maps to
-     * no registered key, so spec -> controller -> spec round-trips.
-     */
-    static std::string keyFor(const SleepController &ctrl);
-
-    /**
      * Specs of the paper's four policies, in the order every report
      * lists them: max-sleep, gradual, always-active, no-overhead.
      */
@@ -162,10 +128,17 @@ class PolicyRegistry
   private:
     PolicyRegistry(); ///< registers the built-in policies
 
+    /**
+     * Register @p spec under @p key (no ':' allowed), with a
+     * one-line @p summary for listings. Called only while the
+     * registry is constructed.
+     */
+    void add(const std::string &key, const std::string &summary,
+             SpecFn spec);
+
     struct Entry
     {
         std::string summary;
-        Factory factory; ///< empty for SpecFn registrations
         SpecFn spec;
     };
 

@@ -8,9 +8,12 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
+#include "api/sweep.hh"
 #include "energy/breakeven.hh"
 #include "energy/gradual_sleep_model.hh"
+#include "replay/engine.hh"
 #include "sleep/policy_registry.hh"
 
 namespace
@@ -48,55 +51,6 @@ TEST(PolicyRegistry, EveryRegisteredNameConstructs)
         EXPECT_FALSE(reg.summary(key).empty());
         EXPECT_TRUE(reg.has(key));
     }
-}
-
-TEST(PolicyRegistry, NamesRoundTripThroughControllerName)
-{
-    // spec -> controller -> keyFor -> controller must reproduce the
-    // same policy (same report name, same configuration).
-    const auto &reg = PolicyRegistry::instance();
-    for (const auto &key : reg.keys()) {
-        SCOPED_TRACE(key);
-        const auto ctrl = reg.make(key, params());
-        const std::string spec = PolicyRegistry::keyFor(*ctrl);
-        EXPECT_TRUE(reg.has(spec));
-        const auto again = reg.make(spec, params());
-        EXPECT_EQ(again->name(), ctrl->name());
-    }
-}
-
-TEST(PolicyRegistry, ParameterizedSpecsRoundTripExactly)
-{
-    const auto &reg = PolicyRegistry::instance();
-    const auto timeout = reg.make("timeout:64", params());
-    EXPECT_EQ(timeout->name(), "Timeout(64)");
-    EXPECT_EQ(PolicyRegistry::keyFor(*timeout), "timeout:64");
-
-    const auto gradual = reg.make("gradual:16", params());
-    EXPECT_EQ(PolicyRegistry::keyFor(*gradual), "gradual:16");
-    EXPECT_EQ(dynamic_cast<GradualSleepController &>(*gradual)
-                  .numSlices(),
-              16u);
-
-    // Non-default weights and EWMA weight must survive the
-    // spec -> controller -> spec round trip, not snap back to the
-    // defaults.
-    const auto wg = reg.make("weighted-gradual:0.9,0.1", params());
-    const auto wg_again =
-        reg.make(PolicyRegistry::keyFor(*wg), params());
-    EXPECT_EQ(dynamic_cast<WeightedGradualSleepController &>(
-                  *wg_again)
-                  .weights(),
-              dynamic_cast<WeightedGradualSleepController &>(*wg)
-                  .weights());
-
-    const auto ad = reg.make("adaptive:0.5", params());
-    EXPECT_EQ(PolicyRegistry::keyFor(*ad), "adaptive:0.5");
-    const auto ad_again =
-        reg.make(PolicyRegistry::keyFor(*ad), params());
-    EXPECT_DOUBLE_EQ(
-        dynamic_cast<AdaptiveController &>(*ad_again).ewmaWeight(),
-        0.5);
 }
 
 TEST(PolicyRegistry, OversizedCountsThrow)
@@ -208,16 +162,53 @@ TEST(PolicyRegistry, ParameterizedArgumentsConfigure)
                   *reg.make("timeout:128", params()))
                   .timeout(),
               128u);
-    EXPECT_DOUBLE_EQ(dynamic_cast<AdaptiveController &>(
-                         *reg.make("adaptive:0.5", params()))
-                         .prediction(),
+    EXPECT_EQ(reg.make("timeout:64", params())->name(), "Timeout(64)");
+    EXPECT_EQ(dynamic_cast<GradualSleepController &>(
+                  *reg.make("gradual:16", params()))
+                  .numSlices(),
+              16u);
+
+    // Non-default weights and EWMA weight reach the controller, not
+    // the defaults.
+    const auto ad = reg.make("adaptive:0.5", params());
+    EXPECT_DOUBLE_EQ(dynamic_cast<AdaptiveController &>(*ad).prediction(),
                      lsim::energy::breakevenInterval(params()));
+    EXPECT_EQ(dynamic_cast<AdaptiveController &>(*ad).ewmaWeight(), 0.5);
     const auto wg = reg.make("weighted-gradual:0.5,0.25,0.25",
                              params());
     const auto &weights =
         dynamic_cast<WeightedGradualSleepController &>(*wg).weights();
     ASSERT_EQ(weights.size(), 3u);
     EXPECT_DOUBLE_EQ(weights[0], 0.5);
+    EXPECT_EQ(dynamic_cast<WeightedGradualSleepController &>(
+                  *reg.make("weighted-gradual:0.9,0.1", params()))
+                  .weights(),
+              (std::vector<double>{0.9, 0.1}));
+}
+
+TEST(PolicyRegistry, WeightsNotSummingToOneAreRefusedWhereverASpecEnters)
+{
+    // The registry, the replay engine's constructor (before any task
+    // runs) and the sweep runner's constructor each refuse a
+    // weighted-gradual spec whose weights do not sum to 1.
+    const auto points = lsim::api::pSweep(0.05, 1.0, 3);
+    for (const char *spec :
+         {"weighted-gradual:0.5,0.6", "weighted-gradual:0.5,0.4"}) {
+        SCOPED_TRACE(spec);
+        EXPECT_THROW(PolicyRegistry::instance().make(spec, params()),
+                     std::invalid_argument);
+        EXPECT_THROW(PolicyRegistry::instance().resolve(spec).spec(
+                         params()),
+                     std::invalid_argument);
+        EXPECT_THROW(lsim::replay::MultiPointReplay(
+                         lsim::replay::IntervalSet{}, points, {spec}),
+                     std::invalid_argument);
+        lsim::api::SweepConfig cfg;
+        cfg.workloads = {"gcc"};
+        cfg.technologies = points;
+        cfg.policies = {spec};
+        EXPECT_THROW(lsim::api::SweepRunner{cfg}, std::invalid_argument);
+    }
 }
 
 TEST(PolicyRegistry, MakeSetPreservesOrder)

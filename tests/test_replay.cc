@@ -310,27 +310,28 @@ TEST(MultiPointReplay, AdaptiveIdlesUncontrolledAtInfiniteBreakeven)
 {
     // At p = 0 (or alpha = 1) sleep never pays off: the breakeven is
     // infinite, no finite prediction reaches it, and adaptive must
-    // account exactly like always-active on both replay paths (it
-    // used to sleep on every interval, like max-sleep).
+    // account exactly like always-active on the engine and on the
+    // scalar path (it used to sleep on every interval, like
+    // max-sleep).
     const std::vector<ModelParams> points = {api::analysisPoint(0.0),
                                              api::analysisPoint(0.3, 1.0)};
     const std::vector<std::string> specs = {"always-active", "adaptive",
                                             "adaptive:1"};
-    for (const bool kernels : {true, false}) {
-        SCOPED_TRACE(kernels ? "kernels" : "virtual");
-        replay::ReplayOptions options;
-        options.use_kernels = kernels;
-        const auto results = replay::replayProfile(
-            syntheticProfile(), points, specs, options);
-        for (const auto &at_point : results) {
-            const sleep::PolicyResult &always = at_point[0];
+    const auto engine =
+        replay::replayProfile(syntheticProfile(), points, specs);
+    for (std::size_t t = 0; t < points.size(); ++t) {
+        const auto scalar =
+            api::evaluateProfile(syntheticProfile(), points[t], specs);
+        for (const auto *at_point : {&engine[t], &scalar}) {
+            SCOPED_TRACE(at_point == &scalar ? "scalar" : "engine");
+            const sleep::PolicyResult &always = (*at_point)[0];
             for (std::size_t k = 1; k < specs.size(); ++k) {
                 SCOPED_TRACE(specs[k]);
-                EXPECT_EQ(at_point[k].counts.unctrl_idle,
+                EXPECT_EQ((*at_point)[k].counts.unctrl_idle,
                           always.counts.unctrl_idle);
-                EXPECT_EQ(at_point[k].counts.sleep, 0.0);
-                EXPECT_EQ(at_point[k].counts.transitions, 0.0);
-                EXPECT_EQ(at_point[k].energy, always.energy);
+                EXPECT_EQ((*at_point)[k].counts.sleep, 0.0);
+                EXPECT_EQ((*at_point)[k].counts.transitions, 0.0);
+                EXPECT_EQ((*at_point)[k].energy, always.energy);
             }
         }
     }

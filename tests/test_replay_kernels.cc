@@ -1,14 +1,14 @@
 /**
  * @file
  * Property tests for the batched replay kernels: across randomized
- * interval multisets, the kernel path must be bit-identical — not
- * merely close — to the virtual-dispatch controllers for every
- * registry policy spec, including argument variants; the Adaptive
- * kernel must also match its controller on a stream in no
- * particular order, at every vector width this host runs and every
- * lane count up to two blocks; misuse of a batch must throw; unknown
- * policies must transparently fall back; and a moved-from engine
- * must refuse to replay.
+ * interval multisets, the kernel engine must be bit-identical — not
+ * merely close — to the scalar reference (api::evaluateProfile, one
+ * controller per policy) for every registry policy spec, including
+ * argument variants; the Adaptive kernel must also match its
+ * controller on a stream in no particular order, at every vector
+ * width this host runs and every lane count up to two blocks; misuse
+ * of a batch must throw; and a moved-from or finalized engine must
+ * refuse to replay.
  */
 
 #include <gtest/gtest.h>
@@ -90,24 +90,21 @@ expectBitExact(const std::vector<sleep::PolicyResult> &a,
 
 /**
  * The property under test: for any interval multiset, the kernel
- * engine (default) and the virtual-dispatch engine
- * (use_kernels = false) agree to the last bit at every point under
- * every policy spec.
+ * engine and the scalar reference (one controller per policy, fed
+ * through PolicyEvaluator) agree to the last bit at every point
+ * under every policy spec.
  */
 void
-expectKernelMatchesVirtual(const harness::IdleProfile &idle,
-                           const std::vector<ModelParams> &points,
-                           const std::vector<std::string> &specs)
+expectKernelMatchesScalar(const harness::IdleProfile &idle,
+                          const std::vector<ModelParams> &points,
+                          const std::vector<std::string> &specs)
 {
-    replay::ReplayOptions virt;
-    virt.use_kernels = false;
     const auto kernel = replay::replayProfile(idle, points, specs);
-    const auto virtual_path =
-        replay::replayProfile(idle, points, specs, virt);
     ASSERT_EQ(kernel.size(), points.size());
     for (std::size_t t = 0; t < points.size(); ++t) {
         SCOPED_TRACE("point " + std::to_string(t));
-        expectBitExact(kernel[t], virtual_path[t]);
+        expectBitExact(kernel[t],
+                       api::evaluateProfile(idle, points[t], specs));
     }
 }
 
@@ -173,7 +170,7 @@ randomProfile(std::uint64_t seed,
     return idle;
 }
 
-TEST(ReplayKernels, RandomizedSetsMatchVirtualBitExactly)
+TEST(ReplayKernels, RandomizedSetsMatchScalarBitExactly)
 {
     // Counts are capped: adaptive steps through every run, one at a
     // time, on both paths.
@@ -181,9 +178,23 @@ TEST(ReplayKernels, RandomizedSetsMatchVirtualBitExactly)
     const auto specs = allPolicySpecs();
     for (std::uint64_t seed = 1; seed <= 25; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        expectKernelMatchesVirtual(randomProfile(seed, points, 2000),
-                                   points, specs);
+        expectKernelMatchesScalar(randomProfile(seed, points, 2000),
+                                  points, specs);
     }
+    // One set at uncapped counts (up to a million runs a length).
+    SCOPED_TRACE("seed 7, uncapped counts");
+    expectKernelMatchesScalar(randomProfile(7, points), points, specs);
+}
+
+/** The KernelSpec of an Adaptive lane. */
+sleep::KernelSpec
+adaptiveSpec(double breakeven, double weight)
+{
+    sleep::KernelSpec spec;
+    spec.kind = sleep::KernelSpec::Kind::Adaptive;
+    spec.breakeven = breakeven;
+    spec.ewma_weight = weight;
+    return spec;
 }
 
 /** @p lanes' counts after replaying @p set whole into fresh
@@ -213,8 +224,7 @@ expectAdaptiveAtWidth(const replay::IntervalSet &set,
 {
     replay::kernels::KernelBatch batch(sleep::KernelSpec::Kind::Adaptive);
     for (const auto &[breakeven, weight] : lanes)
-        batch.addLane(sleep::AdaptiveController(breakeven, weight)
-                          .kernelSpec());
+        batch.addLane(adaptiveSpec(breakeven, weight));
     replay::kernels::AccumulatorBank bank;
     bank.resize(batch.lanes());
     replay::kernels::detail::runAtWidth(batch, width, set, 0,
@@ -282,7 +292,7 @@ TEST(ReplayKernels, AdaptiveWidthsAscendFrom128AndRunUsesTheLast)
 
     // A width this build or CPU does not run is refused.
     replay::kernels::KernelBatch batch(sleep::KernelSpec::Kind::Adaptive);
-    batch.addLane(sleep::AdaptiveController(10.0, 0.25).kernelSpec());
+    batch.addLane(adaptiveSpec(10.0, 0.25));
     replay::kernels::AccumulatorBank bank;
     bank.resize(1);
     const replay::IntervalSet set = shuffledStream(1, 10);
@@ -413,18 +423,16 @@ TEST(ReplayKernels, MisuseThrowsAndLeavesTheBatchUnchanged)
     EXPECT_THROW(gradual.addLane(no_slices), std::invalid_argument);
     EXPECT_EQ(gradual.lanes(), 0u);
 
-    // Weighted-gradual without weights.
+    // Weighted-gradual without weights, or with weights that do not
+    // sum to 1.
     replay::kernels::KernelBatch weighted(Kind::WeightedGradual);
     sleep::KernelSpec no_weights;
     no_weights.kind = Kind::WeightedGradual;
     EXPECT_THROW(weighted.addLane(no_weights), std::invalid_argument);
+    sleep::KernelSpec bad_sum = no_weights;
+    bad_sum.weights = {0.5, 0.6};
+    EXPECT_THROW(weighted.addLane(bad_sum), std::invalid_argument);
     EXPECT_EQ(weighted.lanes(), 0u);
-
-    // Kind::None has no kernel.
-    replay::kernels::KernelBatch none(Kind::None);
-    EXPECT_THROW(none.addLane(sleep::KernelSpec{}),
-                 std::invalid_argument);
-    EXPECT_EQ(none.lanes(), 0u);
 
     // A bank whose lane count is not the batch's.
     replay::kernels::KernelBatch timeouts(Kind::Timeout);
@@ -437,33 +445,17 @@ TEST(ReplayKernels, MisuseThrowsAndLeavesTheBatchUnchanged)
     EXPECT_EQ(bank.active, std::vector<double>(2, 0.0));
 }
 
-TEST(ReplayKernels, RandomizedSetsMatchScalarBitExactly)
-{
-    // Transitivity guard: the virtual engine is itself checked
-    // against the scalar path elsewhere; spot-check the kernel
-    // engine against the scalar path directly too.
-    const auto points = somePoints();
-    const auto specs = allPolicySpecs();
-    const auto idle = randomProfile(7, points);
-    const auto kernel = replay::replayProfile(idle, points, specs);
-    for (std::size_t t = 0; t < points.size(); ++t) {
-        SCOPED_TRACE("point " + std::to_string(t));
-        expectBitExact(kernel[t],
-                       api::evaluateProfile(idle, points[t], specs));
-    }
-}
-
 TEST(ReplayKernels, EmptyAndDegenerateSets)
 {
     const auto points = somePoints();
     const auto specs = allPolicySpecs(); // adaptive included: cheap
 
     harness::IdleProfile empty;
-    expectKernelMatchesVirtual(empty, points, specs);
+    expectKernelMatchesScalar(empty, points, specs);
 
     harness::IdleProfile active_only;
     active_only.addRun(true, 4096);
-    expectKernelMatchesVirtual(active_only, points, specs);
+    expectKernelMatchesScalar(active_only, points, specs);
 
     // Single-interval sets at boundary-sensitive lengths: 1, the
     // explicit timeout, one past it, and deep saturation.
@@ -472,7 +464,7 @@ TEST(ReplayKernels, EmptyAndDegenerateSets)
         harness::IdleProfile one;
         one.addRun(true, 1000);
         one.addRun(false, len);
-        expectKernelMatchesVirtual(one, points, specs);
+        expectKernelMatchesScalar(one, points, specs);
     }
 }
 
@@ -495,8 +487,8 @@ TEST(ReplayKernels, OracleLookaheadStraddlesBreakeven)
     }
     for (const auto &[len, count] : idle.intervals)
         idle.idle_cycles += len * count;
-    expectKernelMatchesVirtual(idle, points,
-                               {"oracle", "timeout", "gradual"});
+    expectKernelMatchesScalar(idle, points,
+                              {"oracle", "timeout", "gradual"});
 }
 
 TEST(ReplayKernels, PaperPoliciesFullyKernelize)
@@ -511,20 +503,6 @@ TEST(ReplayKernels, PaperPoliciesFullyKernelize)
     EXPECT_EQ(engine.numKernelUnits(), engine.numUnits());
 }
 
-/** A controller the engine knows nothing about: accounting happens
- * to match AlwaysActive, but it does not override kernelSpec(). */
-class OpaqueController : public sleep::SleepController
-{
-  public:
-    std::string name() const override { return "Opaque"; }
-
-  protected:
-    void doIdleRun(Cycle len) override
-    {
-        counts_.unctrl_idle += static_cast<double>(len);
-    }
-};
-
 TEST(ReplayKernels, WarmGridPoliciesFullyKernelize)
 {
     const auto points = api::pSweep(0.05, 1.0, 34);
@@ -538,66 +516,16 @@ TEST(ReplayKernels, WarmGridPoliciesFullyKernelize)
     const std::size_t block = replay::kernels::adaptiveBlockLanes();
     EXPECT_EQ(engine.numKernelGroups(),
               6u + (points.size() + block - 1) / block);
-}
 
-TEST(ReplayKernels, OnlyUnknownPoliciesFallBack)
-{
-    sleep::PolicyRegistry::instance().add(
-        "opaque-test", "unclassified test policy",
-        sleep::PolicyRegistry::Factory(
-            [](const ModelParams &, const std::string &) {
-                return std::make_unique<OpaqueController>();
-            }));
-
-    const auto points = api::pSweep(0.05, 1.0, 6);
-    const std::vector<std::string> specs = {"opaque-test", "adaptive",
-                                            "max-sleep"};
-    const auto idle = randomProfile(11, points);
-    replay::MultiPointReplay engine(
-        replay::IntervalSet::fromProfile(idle), points, specs);
-
-    // max-sleep (one deduplicated unit) and adaptive (one lane per
-    // point) kernelize; the unclassified policy cannot dedup across
-    // points and falls back, one unit per point.
-    EXPECT_EQ(engine.numKernelGroups(), 2u);
-    EXPECT_EQ(engine.numKernelUnits(), 1u + points.size());
-    EXPECT_EQ(engine.numUnits(), 1u + 2u * points.size());
-
-    // And both paths reproduce the scalar results bit for bit,
-    // adaptive's interval-order history included.
-    engine.runAll();
-    const auto results = engine.finalize();
-    for (std::size_t t = 0; t < points.size(); ++t) {
-        SCOPED_TRACE("point " + std::to_string(t));
-        expectBitExact(results[t],
-                       api::evaluateProfile(idle, points[t], specs));
+    // Adaptive is the one policy whose stream may not be sharded.
+    for (const auto &key : kWarmGridPolicies) {
+        SCOPED_TRACE(key);
+        EXPECT_EQ(sleep::PolicyRegistry::instance()
+                      .resolve(key)
+                      .spec(points.front())
+                      .historyFree(),
+                  key != "adaptive");
     }
-}
-
-TEST(ReplayKernels, KernelSpecRoundTripsThroughControllers)
-{
-    // Every built-in controller's self-classification reconstructs
-    // an equivalent controller.
-    const auto mp = api::analysisPoint(0.2);
-    const auto &registry = sleep::PolicyRegistry::instance();
-    for (const char *spec :
-         {"always-active", "max-sleep", "no-overhead", "gradual:9",
-          "weighted-gradual:0.5,0.25,0.25", "timeout:42", "oracle",
-          "adaptive", "adaptive:0.5"}) {
-        SCOPED_TRACE(spec);
-        const auto ctrl = registry.make(spec, mp);
-        const auto kspec = ctrl->kernelSpec();
-        ASSERT_TRUE(kspec.hasKernel());
-        const auto rebuilt = kspec.makeController();
-        EXPECT_EQ(rebuilt->name(), ctrl->name());
-        EXPECT_TRUE(rebuilt->kernelSpec() == kspec);
-    }
-    // Adaptive has a kernel but carries history, so it never
-    // shards; the base-class default classifies as None.
-    EXPECT_FALSE(registry.make("adaptive", mp)
-                     ->kernelSpec()
-                     .historyFree());
-    EXPECT_FALSE(OpaqueController().kernelSpec().hasKernel());
 }
 
 TEST(ReplayKernels, MovedFromEngineRefusesToReplay)
@@ -609,19 +537,21 @@ TEST(ReplayKernels, MovedFromEngineRefusesToReplay)
         replay::IntervalSet::fromProfile(idle), points, {});
     replay::MultiPointReplay engine(std::move(source));
 
-    // The destination owns the replay end to end...
+    // The destination owns the replay end to end, and finalizes
+    // once...
     engine.runAll();
     const auto results = engine.finalize();
     ASSERT_EQ(results.size(), points.size());
     for (std::size_t t = 0; t < points.size(); ++t)
         expectBitExact(results[t],
                        api::evaluateProfile(idle, points[t]));
+    EXPECT_THROW((void)engine.finalize(), std::logic_error);
 
     // ...and the moved-from shell refuses every entry point instead
     // of silently replaying emptied vectors.
-    EXPECT_DEATH(source.runTask(0), "moved from");
-    EXPECT_DEATH(source.runAll(), "moved from");
-    EXPECT_DEATH((void)source.finalize(), "moved from");
+    EXPECT_THROW(source.runTask(0), std::logic_error);
+    EXPECT_THROW(source.runAll(), std::logic_error);
+    EXPECT_THROW((void)source.finalize(), std::logic_error);
 
     // Move assignment leaves the right-hand side equally inert.
     replay::MultiPointReplay other(
@@ -629,7 +559,7 @@ TEST(ReplayKernels, MovedFromEngineRefusesToReplay)
     replay::MultiPointReplay target(
         replay::IntervalSet::fromProfile(idle), points, {});
     target = std::move(other);
-    EXPECT_DEATH(other.runAll(), "moved from");
+    EXPECT_THROW(other.runAll(), std::logic_error);
     target.runAll();
     (void)target.finalize();
 }

@@ -70,11 +70,9 @@ def metrics(doc):
     for grid in doc.get("grids", []):
         label = f"{grid_key(grid)}pt"
         out[(label, "speedup")] = grid.get("speedup")
-        out[(label, "kernel_speedup")] = grid.get("kernel_speedup")
     dense = doc.get("dense")
     if dense:
         out[("dense", "speedup")] = dense.get("speedup")
-        out[("dense", "kernel_speedup")] = dense.get("kernel_speedup")
     for entry in doc.get("threaded", []):
         out[(f"{entry['threads']}thr", "threaded_speedup")] = \
             entry.get("speedup")
@@ -124,15 +122,14 @@ def metrics(doc):
 
 
 # (label, metric) pairs the --fail-below gate judges: the big-grid
-# engine-vs-scalar speedups, the dense kernel-vs-virtual speedup,
-# and the daemon's warm request latency. Micro grids (1/4 points)
+# and dense-grid engine-vs-scalar speedups, and the daemon's warm
+# request latency. Micro grids (1/4 points)
 # finish in microseconds and their ratios swing tens of percent run
 # to run; threaded speedups depend on runner core counts, which the
 # static --min-threaded-speedup floor already covers. All are still
 # reported.
 GATED = (("8pt", "speedup"), ("20pt", "speedup"),
-         ("dense", "speedup"), ("dense", "kernel_speedup"),
-         ("serve", "warm_request_ms"))
+         ("dense", "speedup"), ("serve", "warm_request_ms"))
 
 # Metrics where smaller values are better: the quality ratio is
 # inverted (first/last) so < 1 still means "regressed".
@@ -274,8 +271,6 @@ def render_html(records, out_path):
     charts = [
         svg_chart("Engine vs scalar speedup", "x",
                   series_for("speedup"), x_labels),
-        svg_chart("Kernel vs virtual-dispatch speedup", "x",
-                  series_for("kernel_speedup"), x_labels),
         svg_chart("Serve request latency", " ms",
                   [(name, [snap.get(("serve", name))
                            for _, snap in records])

@@ -11,6 +11,7 @@
  */
 
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
@@ -149,6 +150,26 @@ splitList(const std::string &text)
     while (std::getline(ss, cell, ','))
         if (!cell.empty())
             out.push_back(cell);
+    return out;
+}
+
+/**
+ * A --policies list. Every registry key begins with a letter, so a
+ * token that does not continues the previous spec's argument: the
+ * weights of "max-sleep,weighted-gradual:0.5,0.25,0.25" stay in one
+ * spec.
+ */
+std::vector<std::string>
+splitPolicyList(const std::string &text)
+{
+    std::vector<std::string> out;
+    for (auto &cell : splitList(text)) {
+        if (!out.empty() &&
+            !std::isalpha(static_cast<unsigned char>(cell[0])))
+            out.back() += ',' + cell;
+        else
+            out.push_back(std::move(cell));
+    }
     return out;
 }
 
@@ -593,8 +614,8 @@ cmdPolicies(const Args &args)
         builderFor(args, bench, custom ? 1 : 2, ~std::size_t{0})
             .technology(p, alpha);
     if (args.has("policies"))
-        builder.policies(
-            splitList(args.flagOrPositional("policies", ~std::size_t{0})));
+        builder.policies(splitPolicyList(
+            args.flagOrPositional("policies", ~std::size_t{0})));
     const auto result = builder.run();
 
     if (args.has("json")) {
@@ -623,8 +644,8 @@ cmdSweep(const Args &args)
         cfg.workloads =
             splitList(args.flagOrPositional("benchmarks", ~std::size_t{0}));
     if (args.has("policies"))
-        cfg.policies =
-            splitList(args.flagOrPositional("policies", ~std::size_t{0}));
+        cfg.policies = splitPolicyList(
+            args.flagOrPositional("policies", ~std::size_t{0}));
     const double p_min =
         args.number("p-min", ~std::size_t{0}).value_or(0.05);
     const double p_max =
