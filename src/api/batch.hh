@@ -99,8 +99,8 @@ struct BatchResult
  * Long-lived resources a caller may inject into a batch run. A
  * one-shot `lsim batch` leaves both null and the runner builds its
  * own; the serve daemon passes its persistent pool (no per-request
- * thread spawn) and its warm ProfileStore (index loaded once,
- * LRU touch-times accumulated across requests).
+ * thread spawn) and its long-lived ProfileStore (one degraded flag
+ * across requests).
  */
 struct BatchEnv
 {

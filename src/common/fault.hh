@@ -2,9 +2,9 @@
  * @file
  * Deterministic, seed-driven fault injection.
  *
- * Every failure domain in the serve/store tier (file writes, lock
- * acquisition, store serialization, socket I/O, queue transitions)
- * consults a named *fault point* before doing the real work. With no
+ * Every failure domain in the serve/store tier (file writes, store
+ * serialization, socket I/O, queue transitions) consults a named
+ * *fault point* before doing the real work. With no
  * faults configured the consult is one relaxed atomic load — the
  * macro below short-circuits before any function call — so shipping
  * the points compiled-in costs nothing on the hot path.
@@ -16,7 +16,7 @@
  *
  *     store.write:after=3:error=EIO      skip 3 hits, then always fail
  *     socket.read:every=4                fail every 4th hit
- *     store.index.lock:count=2           fail the first 2 hits only
+ *     store.read:count=2                 fail the first 2 hits only
  *     file.write:prob=0.25:seed=7        fail ~25% of hits, seeded
  *
  * keys:

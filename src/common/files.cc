@@ -1,16 +1,11 @@
 #include "common/files.hh"
 
-#include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 
 #include "common/fault.hh"
 #include "common/logging.hh"
@@ -63,74 +58,6 @@ atomicWriteFile(const std::string &path, const std::string &data)
         return false;
     }
     return true;
-}
-
-std::optional<FileLock>
-FileLock::acquire(const std::string &path, unsigned timeout_ms)
-{
-    if (LSIM_FAULT("file.lock")) {
-        warn("FileLock: timed out after %u ms waiting for '%s' "
-             "[injected]",
-             timeout_ms, path.c_str());
-        return std::nullopt;
-    }
-    const int fd =
-        ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0666);
-    if (fd < 0) {
-        warn("FileLock: cannot open '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return std::nullopt;
-    }
-    const auto deadline = std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(timeout_ms);
-    for (;;) {
-        if (::flock(fd, LOCK_EX | LOCK_NB) == 0)
-            return FileLock(fd);
-        if (errno != EWOULDBLOCK && errno != EINTR) {
-            warn("FileLock: cannot lock '%s': %s", path.c_str(),
-                 std::strerror(errno));
-            ::close(fd);
-            return std::nullopt;
-        }
-        if (std::chrono::steady_clock::now() >= deadline) {
-            warn("FileLock: timed out after %u ms waiting for '%s'",
-                 timeout_ms, path.c_str());
-            ::close(fd);
-            return std::nullopt;
-        }
-        // Holders keep the lock for one small-file rewrite, so a
-        // short poll beats the bookkeeping of a blocking wait with
-        // its own timeout machinery.
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-}
-
-FileLock::~FileLock()
-{
-    if (fd_ >= 0) {
-        ::flock(fd_, LOCK_UN);
-        ::close(fd_);
-    }
-}
-
-FileLock::FileLock(FileLock &&other) noexcept
-    : fd_(other.fd_)
-{
-    other.fd_ = -1;
-}
-
-FileLock &
-FileLock::operator=(FileLock &&other) noexcept
-{
-    if (this != &other) {
-        if (fd_ >= 0) {
-            ::flock(fd_, LOCK_UN);
-            ::close(fd_);
-        }
-        fd_ = other.fd_;
-        other.fd_ = -1;
-    }
-    return *this;
 }
 
 } // namespace lsim

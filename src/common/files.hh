@@ -1,7 +1,7 @@
 /**
  * @file
  * Atomic whole-file writes. Result and status files produced by the
- * batch daemon (and the profile-store index) are read by concurrent
+ * batch daemon, and profile-store entries, are read by concurrent
  * pollers — scripts watching a results directory, a second daemon
  * sharing a cache — so they must never be observable half-written.
  * POSIX rename() within one directory is atomic: a reader sees
@@ -11,7 +11,6 @@
 #ifndef LSIM_COMMON_FILES_HH
 #define LSIM_COMMON_FILES_HH
 
-#include <optional>
 #include <string>
 
 namespace lsim
@@ -28,49 +27,6 @@ namespace lsim
  * on failure.
  */
 bool atomicWriteFile(const std::string &path, const std::string &data);
-
-/**
- * RAII exclusive advisory lock on a file, via flock(2). Used to
- * serialize cross-process read-modify-write cycles (the store
- * index's reload-merge-bump flush): atomic rename alone makes writes
- * torn-free but still last-writer-wins; the lock makes them ordered.
- *
- * flock locks belong to the open file description, so two handles in
- * one process exclude each other exactly like two processes, and the
- * kernel releases the lock if the holder dies — no stale-lockfile
- * recovery is ever needed. The lock file itself is a zero-byte
- * sentinel created on demand and intentionally never deleted
- * (unlinking a lock file that another process has already opened
- * would let a third process lock a *different* inode under the same
- * name).
- */
-class FileLock
-{
-  public:
-    /**
-     * Try to acquire the exclusive lock on @p path, polling for up
-     * to @p timeout_ms milliseconds. @return the held lock, or
-     * std::nullopt (after a warn()) on timeout or when the lock file
-     * cannot be opened.
-     */
-    static std::optional<FileLock> acquire(const std::string &path,
-                                           unsigned timeout_ms);
-
-    ~FileLock();
-
-    FileLock(FileLock &&other) noexcept;
-    FileLock &operator=(FileLock &&other) noexcept;
-    FileLock(const FileLock &) = delete;
-    FileLock &operator=(const FileLock &) = delete;
-
-  private:
-    explicit FileLock(int fd)
-        : fd_(fd)
-    {
-    }
-
-    int fd_ = -1;
-};
 
 } // namespace lsim
 

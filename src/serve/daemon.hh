@@ -49,9 +49,8 @@
  * queued_at/started_at/finished_at wall-clock stamps, plus the batch
  * dedup/cache stats; every write is temp+rename so a poller never
  * reads a torn file. Claiming is also a rename, so multiple daemons
- * may share one spool — exactly one wins each spec — and the store
- * index they share is reconciled with the lock-file + generation
- * protocol (see store/store_index.hh).
+ * may share one spool — exactly one wins each spec — and one store,
+ * whose entry files (each written atomically) are all they share.
  *
  * A TTL janitor (--ttl) prunes consumed specs and result
  * directories older than the TTL each drain, and --cache-ttl runs

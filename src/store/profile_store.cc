@@ -1,11 +1,13 @@
 #include "store/profile_store.hh"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -30,6 +32,10 @@ constexpr char kMagic[8] = {'L', 'S', 'I', 'M', 'P', 'R', 'O', 'F'};
  * longer-lived degrades the instance instead of stalling sweeps. */
 constexpr unsigned kSaveRetries = 2;
 constexpr unsigned kSaveBackoffBaseMs = 1;
+
+/** Largest single payload read: a real entry fits in one, and a
+ * corrupt size field allocates at most this much past the file. */
+constexpr std::size_t kReadChunk = std::size_t{1} << 20;
 
 } // namespace
 
@@ -119,19 +125,32 @@ hashCoreConfig(Fnv1a &h, const cpu::CoreConfig &c)
 namespace
 {
 
+/** The characters a store key may hold. */
+bool
+isKeyChar(char ch)
+{
+    return (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
+           (ch >= '0' && ch <= '9') || ch == '.' || ch == '_' ||
+           ch == '-';
+}
+
 /** Keep keys filesystem-safe: [A-Za-z0-9._-], capped length. */
 std::string
 sanitizeName(const std::string &name)
 {
     std::string out;
-    for (char ch : name.substr(0, 48)) {
-        const bool ok = (ch >= 'a' && ch <= 'z') ||
-                        (ch >= 'A' && ch <= 'Z') ||
-                        (ch >= '0' && ch <= '9') || ch == '.' ||
-                        ch == '_' || ch == '-';
-        out += ok ? ch : '_';
-    }
+    for (char ch : name.substr(0, 48))
+        out += isKeyChar(ch) ? ch : '_';
     return out.empty() ? std::string("profile") : out;
+}
+
+/** One path component of [A-Za-z0-9._-] that is not "." or "..":
+ * a key that cannot name a file outside the store directory. */
+bool
+isValidKey(const std::string &key)
+{
+    return !key.empty() && key != "." && key != ".." &&
+           std::all_of(key.begin(), key.end(), isKeyChar);
 }
 
 /** Serialize (key, sim) with framing into @p os. */
@@ -179,11 +198,20 @@ readEntry(std::istream &is, const std::string &what)
     const std::uint64_t checksum = header.u64();
     const std::uint64_t payload_size = header.u64();
 
-    std::string payload(static_cast<std::size_t>(payload_size), '\0');
-    is.read(payload.data(),
-            static_cast<std::streamsize>(payload_size));
-    if (static_cast<std::uint64_t>(is.gcount()) != payload_size ||
-        is.peek() != std::char_traits<char>::eof())
+    // The size field is outside the checksum, so it never sizes an
+    // allocation by itself: the payload grows only as bytes arrive,
+    // and a size beyond the end of the stream is a truncation.
+    std::string payload;
+    while (payload.size() < payload_size) {
+        const std::size_t at = payload.size();
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kReadChunk, payload_size - at));
+        payload.resize(at + n);
+        is.read(payload.data() + at, static_cast<std::streamsize>(n));
+        if (static_cast<std::size_t>(is.gcount()) != n)
+            throw StoreError(what + ": truncated or oversized payload");
+    }
+    if (is.peek() != std::char_traits<char>::eof())
         throw StoreError(what + ": truncated or oversized payload");
 
     Fnv1a actual;
@@ -196,37 +224,14 @@ readEntry(std::istream &is, const std::string &what)
     BinaryReader r(payload_is, payload_size);
     ImportedSim entry;
     entry.key = r.str();
+    // Empty is "no key" (an export of a JSON import); anything else
+    // becomes a path inside a store, so it must stay in it.
+    if (!entry.key.empty() && !isValidKey(entry.key))
+        throw StoreError(what + ": embedded key '" + entry.key +
+                         "' is not a valid store key");
     entry.sim = readWorkloadSim(r);
     if (!r.exhausted())
         throw StoreError(what + ": trailing bytes after payload");
-    return entry;
-}
-
-/** File mtime -> unix seconds (via the relative age, so no
- * clock_cast dependency); the index's `touched` timebase. */
-double
-mtimeToUnixSeconds(fs::file_time_type mtime)
-{
-    const double age = std::chrono::duration<double>(
-                           fs::file_time_type::clock::now() - mtime)
-                           .count();
-    return StoreIndex::now() - age;
-}
-
-/** The index row describing @p sim (summary + accounting). */
-IndexEntry
-indexEntryFor(const harness::WorkloadSim &sim, std::uint64_t bytes,
-              double touched)
-{
-    IndexEntry entry;
-    entry.bytes = bytes;
-    entry.touched = touched;
-    entry.name = sim.name;
-    entry.fus = sim.num_fus;
-    entry.committed = sim.sim.committed;
-    entry.ipc = sim.sim.ipc;
-    entry.idle_fraction = sim.idle.idleFraction();
-    entry.intervals = sim.idle.numIntervals();
     return entry;
 }
 
@@ -246,28 +251,13 @@ SimKey::fingerprint() const
 }
 
 ProfileStore::ProfileStore(std::string dir)
-    : dir_(std::move(dir)), index_(dir_)
+    : dir_(std::move(dir))
 {
     std::error_code ec;
     fs::create_directories(dir_, ec);
     if (ec || !fs::is_directory(dir_))
         throw std::invalid_argument("cache directory '" + dir_ +
                                     "' cannot be created");
-}
-
-ProfileStore::~ProfileStore()
-{
-    MutexLock lock(index_mu_);
-    flushIndexLocked();
-}
-
-void
-ProfileStore::flushIndexLocked() const
-{
-    if (!index_dirty_)
-        return;
-    index_.save();
-    index_dirty_ = false;
 }
 
 std::string
@@ -277,8 +267,7 @@ ProfileStore::pathFor(const std::string &key) const
 }
 
 std::optional<harness::WorkloadSim>
-ProfileStore::loadEntry(const std::string &key,
-                        bool *corrupt) const
+ProfileStore::loadEntry(const std::string &key, const char *what) const
 {
     const std::string path = pathFor(key);
     std::ifstream in(path, std::ios::binary);
@@ -294,15 +283,15 @@ ProfileStore::loadEntry(const std::string &key,
         return std::move(entry.sim);
     } catch (const StoreError &err) {
         warn("profile store: %s; re-simulating", err.what());
-        if (corrupt)
-            *corrupt = true;
+        quarantine(key, std::string("failed checksum/version on ") +
+                            what);
         return std::nullopt;
     }
 }
 
 void
-ProfileStore::quarantineLocked(const std::string &key,
-                               const std::string &why) const
+ProfileStore::quarantine(const std::string &key,
+                         const std::string &why) const
 {
     const fs::path dir = fs::path(dir_) / kQuarantineDir;
     std::error_code ec;
@@ -314,7 +303,6 @@ ProfileStore::quarantineLocked(const std::string &key,
         // poison pill that re-warns on every future hit.
         fs::remove(pathFor(key), ec);
     }
-    index_dirty_ |= index_.erase(key);
     obs::counter("store.quarantined").add();
     warn("profile store: quarantined entry '%s' (%s)", key.c_str(),
          why.c_str());
@@ -323,22 +311,12 @@ ProfileStore::quarantineLocked(const std::string &key,
 std::optional<harness::WorkloadSim>
 ProfileStore::load(const std::string &key) const
 {
-    bool corrupt = false;
-    auto sim = loadEntry(key, &corrupt);
+    auto sim = loadEntry(key, "load");
     if (sim) {
-        // A hit is a use: refresh the LRU signal so gc() never
-        // evicts what a warm daemon is actively serving. In memory
-        // only — persisting here would put an O(entries) index
-        // rewrite on the hot warm-cache path; the next mutating
-        // call (or the destructor) flushes.
-        MutexLock lock(index_mu_);
-        if (index_.find(key)) {
-            index_.touch(key, StoreIndex::now());
-            index_dirty_ = true;
-        }
-    } else if (corrupt) {
-        MutexLock lock(index_mu_);
-        quarantineLocked(key, "failed checksum/version on load");
+        // A hit is a use: set the mtime to now so gc() never evicts
+        // what a warm daemon is actively serving. Null times need
+        // only write access; a read-only store just keeps its ages.
+        (void)::utimensat(AT_FDCWD, pathFor(key).c_str(), nullptr, 0);
     }
     return sim;
 }
@@ -379,13 +357,7 @@ ProfileStore::save(const std::string &key,
     if (!written) {
         markDegraded("cannot write entry '" + key + "' after " +
                      std::to_string(kSaveRetries) + " retries");
-        return;
     }
-    MutexLock lock(index_mu_);
-    index_.put(key, indexEntryFor(sim, bytes.size(),
-                                  StoreIndex::now()));
-    index_dirty_ = true;
-    flushIndexLocked();
 }
 
 std::vector<StoreEntry>
@@ -397,13 +369,8 @@ ProfileStore::list() const
             de.path().extension() != kExtension)
             continue;
         const std::string key = de.path().stem().string();
-        bool corrupt = false;
-        if (auto sim = loadEntry(key, &corrupt)) {
+        if (auto sim = loadEntry(key, "list"))
             out.push_back({key, std::move(*sim)});
-        } else if (corrupt) {
-            MutexLock lock(index_mu_);
-            quarantineLocked(key, "failed checksum/version on list");
-        }
     }
     std::sort(out.begin(), out.end(),
               [](const StoreEntry &a, const StoreEntry &b) {
@@ -412,70 +379,13 @@ ProfileStore::list() const
     return out;
 }
 
-std::vector<StoreSummary>
-ProfileStore::summaries() const
-{
-    MutexLock lock(index_mu_);
-    std::vector<StoreSummary> out;
-    std::set<std::string> on_disk;
-    for (const auto &de : fs::directory_iterator(dir_)) {
-        if (!de.is_regular_file() ||
-            de.path().extension() != kExtension)
-            continue;
-        const std::string key = de.path().stem().string();
-        on_disk.insert(key);
-        if (const IndexEntry *indexed = index_.find(key)) {
-            out.push_back({key, *indexed});
-            continue;
-        }
-        // Unindexed (pre-index store, or a lost concurrent-writer
-        // race): one full read adopts it into the index.
-        bool corrupt = false;
-        const auto sim = loadEntry(key, &corrupt);
-        if (!sim) {
-            if (corrupt)
-                quarantineLocked(
-                    key, "failed checksum/version on summaries");
-            continue; // unreadable; loadEntry() warned
-        }
-        std::error_code ec;
-        const std::uint64_t bytes = de.file_size(ec);
-        auto mtime = fs::last_write_time(de.path(), ec);
-        const double touched =
-            ec ? StoreIndex::now() : mtimeToUnixSeconds(mtime);
-        IndexEntry entry = indexEntryFor(*sim, bytes, touched);
-        index_.put(key, entry);
-        index_dirty_ = true;
-        out.push_back({key, std::move(entry)});
-    }
-    // Drop index rows whose file vanished (rm/gc by another
-    // process, manual deletion).
-    for (auto it = index_.entries().begin();
-         it != index_.entries().end();) {
-        const std::string key = it->first;
-        ++it;
-        if (on_disk.find(key) == on_disk.end()) {
-            index_.erase(key);
-            index_dirty_ = true;
-        }
-    }
-    flushIndexLocked();
-    std::sort(out.begin(), out.end(),
-              [](const StoreSummary &a, const StoreSummary &b) {
-                  return a.key < b.key;
-              });
-    return out;
-}
-
 bool
 ProfileStore::remove(const std::string &key) const
 {
+    if (!isValidKey(key))
+        throw StoreError("'" + key + "' is not a valid store key");
     std::error_code ec;
-    const bool removed = fs::remove(pathFor(key), ec) && !ec;
-    MutexLock lock(index_mu_);
-    index_dirty_ |= index_.erase(key);
-    flushIndexLocked();
-    return removed;
+    return fs::remove(pathFor(key), ec) && !ec;
 }
 
 ProfileStore::GcStats
@@ -483,39 +393,28 @@ ProfileStore::gc(const GcOptions &options) const
 {
     struct Candidate
     {
-        std::string key;
         fs::path path;
-        double touched = 0.0; ///< unix seconds of last known use
+        fs::file_time_type mtime; ///< last save or load hit
         std::uint64_t bytes = 0;
     };
     std::vector<Candidate> entries;
     GcStats stats;
-    MutexLock lock(index_mu_);
     for (const auto &de : fs::directory_iterator(dir_)) {
         if (!de.is_regular_file() ||
             de.path().extension() != kExtension)
             continue;
         Candidate c;
         c.path = de.path();
-        c.key = de.path().stem().string();
-        if (const IndexEntry *indexed = index_.find(c.key)) {
-            // Index rows carry the LRU signal (loads touch them,
-            // mtime never moves on reads) and spare the stat().
-            c.touched = indexed->touched;
-            c.bytes = indexed->bytes;
-        } else {
-            std::error_code ec;
-            const auto mtime = fs::last_write_time(c.path, ec);
-            if (!ec)
-                c.bytes = de.file_size(ec);
-            if (ec) {
-                // Age unknown is not "old": keep the entry and
-                // report it rather than letting a default mtime
-                // make it first in line for eviction.
-                stats.stat_errors += 1;
-                continue;
-            }
-            c.touched = mtimeToUnixSeconds(mtime);
+        std::error_code ec;
+        c.mtime = fs::last_write_time(c.path, ec);
+        if (!ec)
+            c.bytes = fs::file_size(c.path, ec);
+        if (ec) {
+            // Age unknown is not "old": keep the entry and report
+            // it rather than letting a default mtime make it first
+            // in line for eviction.
+            stats.stat_errors += 1;
+            continue;
         }
         stats.scanned += 1;
         stats.bytes_before += c.bytes;
@@ -523,11 +422,11 @@ ProfileStore::gc(const GcOptions &options) const
     }
     std::sort(entries.begin(), entries.end(),
               [](const Candidate &a, const Candidate &b) {
-                  return a.touched < b.touched; // coldest first
+                  return a.mtime < b.mtime; // coldest first
               });
 
     stats.bytes_after = stats.bytes_before;
-    const double now = StoreIndex::now();
+    const auto now = fs::file_time_type::clock::now();
     const auto evict = [&](const Candidate &c) {
         std::error_code ec;
         const bool removed = fs::remove(c.path, ec);
@@ -537,15 +436,15 @@ ProfileStore::gc(const GcOptions &options) const
         // us to it; only the former counts as our eviction, but the
         // bytes left the store in both cases.
         stats.bytes_after -= c.bytes;
-        index_dirty_ |= index_.erase(c.key);
         if (removed)
             stats.removed += 1;
     };
     std::size_t kept_from = 0;
     if (options.max_age_seconds) {
         while (kept_from < entries.size() &&
-               now - entries[kept_from].touched >
-                   *options.max_age_seconds) {
+               std::chrono::duration<double>(
+                   now - entries[kept_from].mtime)
+                       .count() > *options.max_age_seconds) {
             evict(entries[kept_from]);
             ++kept_from;
         }
@@ -557,7 +456,6 @@ ProfileStore::gc(const GcOptions &options) const
             ++kept_from;
         }
     }
-    flushIndexLocked();
     return stats;
 }
 

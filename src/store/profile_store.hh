@@ -23,10 +23,17 @@
  *
  * Load failures (corruption, truncation, version mismatch) are
  * reported as a miss and warn()ed, never trusted — and the bad
- * entry is moved to <dir>/quarantine/ (index row erased) so it is
- * inspected at most once instead of being re-read and re-warned on
- * every hit. The caller re-simulates; the fresh save overwrites
- * nothing (the poisoned file is gone from the key's path).
+ * entry is moved to <dir>/quarantine/ so it is inspected at most
+ * once instead of being re-read and re-warned on every hit. The
+ * caller re-simulates; the fresh save overwrites nothing (the
+ * poisoned file is gone from the key's path).
+ *
+ * The entry files are the whole store: there is no index beside
+ * them. A load hit sets its file's mtime to now, so the mtime is the
+ * LRU signal gc() evicts by, and it is on disk the moment the hit
+ * returns; list() reads the entries themselves. Processes sharing
+ * one directory therefore share nothing but the entry files, and no
+ * operation takes a lock.
  *
  * Failure hardening: save() retries transient write failures with
  * bounded exponential backoff + jitter (`store.retries` counts
@@ -46,11 +53,8 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "common/mutex.hh"
-#include "common/thread_annotations.hh"
 #include "cpu/config.hh"
 #include "store/serialize.hh"
-#include "store/store_index.hh"
 #include "trace/profile.hh"
 
 namespace lsim::store
@@ -94,19 +98,11 @@ struct StoreEntry
     harness::WorkloadSim sim;
 };
 
-/** One summary row as listed by ProfileStore::summaries(). */
-struct StoreSummary
-{
-    std::string key;
-    IndexEntry entry;
-};
-
 /**
- * The on-disk store. Cheap to construct. Each instance keeps the
- * directory's StoreIndex in memory (loaded once, updated on every
- * save/load/gc and persisted atomically), so a long-lived instance —
- * the serve daemon's — answers summaries() and gc() without touching
- * the entry files. Instances are not copyable; construct in place.
+ * The on-disk store. Cheap to construct: it keeps no state besides
+ * its directory and the degraded flag, so instances over one
+ * directory (in one process or several) never disagree. Instances
+ * are not copyable; construct in place.
  */
 class ProfileStore
 {
@@ -124,9 +120,6 @@ class ProfileStore
      */
     explicit ProfileStore(std::string dir);
 
-    /** Flushes any deferred index touch-times (see load()). */
-    ~ProfileStore();
-
     ProfileStore(const ProfileStore &) = delete;
     ProfileStore &operator=(const ProfileStore &) = delete;
 
@@ -135,18 +128,15 @@ class ProfileStore
      * after a warn() — when the entry is absent, truncated,
      * corrupted, or written by a different format version; a
      * corrupt entry is additionally quarantined (moved under
-     * <dir>/quarantine/, index row erased) so it never warns twice.
-     * A hit refreshes the key's index touch-time (the gc LRU
-     * signal) in memory; the index file is persisted lazily — by
-     * the next mutating call (save/remove/gc/summaries) or the
-     * destructor — so the warm path never pays a whole-index
-     * rewrite per hit.
+     * <dir>/quarantine/) so it never warns twice. A hit sets the
+     * entry file's mtime to now (the gc LRU signal); a failure to
+     * do so (a read-only store) is ignored.
      */
     std::optional<harness::WorkloadSim>
     load(const std::string &key) const;
 
     /**
-     * Atomically persist @p sim under @p key (index updated).
+     * Atomically persist @p sim under @p key.
      * Transient write failures retry with bounded backoff; a
      * persistent failure flips the instance into degraded
      * (compute-without-cache) mode and the save becomes a no-op.
@@ -162,20 +152,15 @@ class ProfileStore
         return degraded_.load(std::memory_order_relaxed);
     }
 
-    /** All readable entries, sorted by key; unreadable files warn. */
+    /** All readable `*.lsimprof` entries, sorted by key; corrupt
+     * ones warn and are quarantined, like a corrupt load. */
     std::vector<StoreEntry> list() const;
 
     /**
-     * One summary row per entry, sorted by key, served from the
-     * index without deserializing entry files. Unindexed files
-     * (written by an older version, or by a process whose index
-     * update lost a concurrent-writer race) are read once, indexed,
-     * and included; index rows whose file vanished are dropped.
-     */
-    std::vector<StoreSummary> summaries() const;
-
-    /**
-     * Delete the entry stored under @p key.
+     * Delete the entry stored under @p key. A store key is one path
+     * component of [A-Za-z0-9._-] that is not "." or ".." (every
+     * SimKey::fingerprint() is one); any other @p key throws
+     * StoreError, so no key can name a file outside the store.
      * @return true when an entry was removed, false when absent.
      */
     bool remove(const std::string &key) const;
@@ -194,10 +179,10 @@ class ProfileStore
     {
         std::size_t scanned = 0; ///< entries examined
         std::size_t removed = 0; ///< entries deleted
-        /** Entries whose file could not be stat()ed (and which have
-         * no index row to fall back on). These are *kept* and
-         * reported — a stat failure means "age unknown", not "old",
-         * so they must never become eviction fodder by default. */
+        /** Entries whose file could not be stat()ed. These are
+         * *kept* and reported — a stat failure means "age unknown",
+         * not "old", so they must never become eviction fodder by
+         * default. */
         std::size_t stat_errors = 0;
         std::uint64_t bytes_before = 0;
         std::uint64_t bytes_after = 0;
@@ -206,15 +191,14 @@ class ProfileStore
     /**
      * Evict store entries by age and/or total size: entries older
      * than max_age_seconds go first, then the least-recently-used
-     * remaining entries until the store is within max_bytes. Age is
-     * the index touch-time where available — updated on loads as
-     * well as saves, so an entry a warm daemon serves daily never
-     * looks cold no matter its mtime — with a stat() fallback for
-     * unindexed files. Only `*.lsimprof` files are touched;
-     * unreadable or corrupt entries are regular eviction candidates
-     * (their touch-time decides), so a poisoned cache heals over
-     * time. Safe to run concurrently with sweeps: a hit on a
-     * just-evicted key is an ordinary miss.
+     * remaining entries until the store is within max_bytes. Age and
+     * size come from stat(): the mtime moves on loads as well as
+     * saves, so an entry a warm daemon serves daily never looks
+     * cold. Only `*.lsimprof` files are touched; unreadable or
+     * corrupt entries are regular eviction candidates (their mtime
+     * decides), so a poisoned cache heals over time. Safe to run
+     * concurrently with sweeps: a hit on a just-evicted key is an
+     * ordinary miss.
      */
     GcStats gc(const GcOptions &options) const;
 
@@ -223,40 +207,25 @@ class ProfileStore
   private:
     std::string pathFor(const std::string &key) const;
 
-    /** load() minus the index touch (for internal bulk walks).
-     * @p corrupt, when non-null, is set when the miss was a
-     * corrupted entry (vs simply absent) — the caller quarantines
-     * it under the index lock. */
+    /** Read and verify @p key's entry; a corrupt one warns and is
+     * quarantined. @p what names the caller in the quarantine
+     * warning ("load", "list"). */
     std::optional<harness::WorkloadSim>
-    loadEntry(const std::string &key,
-              bool *corrupt = nullptr) const;
+    loadEntry(const std::string &key, const char *what) const;
 
-    /** Move @p key's entry file into quarantine/ and erase its
-     * index row; warns with @p why. At most one warn per entry:
-     * after the move the key's path is simply absent. */
-    void quarantineLocked(const std::string &key,
-                          const std::string &why) const
-        REQUIRES(index_mu_);
+    /** Move @p key's entry file into quarantine/; warns with @p why.
+     * At most one warn per entry: after the move the key's path is
+     * simply absent. */
+    void quarantine(const std::string &key,
+                    const std::string &why) const;
 
     /** Flip into compute-without-cache mode (first call warns). */
     void markDegraded(const std::string &why) const;
 
-    /** Persist the index iff a deferred update is pending. */
-    void flushIndexLocked() const REQUIRES(index_mu_);
-
     std::string dir_;
 
-    /** In-memory index; mutable because reads (load) refresh the
-     * LRU signal. Guarded by index_mu_ — the annotations make any
-     * unlocked access a compile error on clang, and instances are
-     * shared across the daemon's pool threads, so this is load-
-     * bearing, not documentation. */
-    mutable Mutex index_mu_;
-    mutable StoreIndex index_ GUARDED_BY(index_mu_);
-    mutable bool index_dirty_ GUARDED_BY(index_mu_) = false;
-
-    /** Compute-without-cache switch; atomic so pool threads read it
-     * without the index lock. */
+    /** Compute-without-cache switch; atomic because the daemon's
+     * pool threads share one instance. */
     mutable std::atomic<bool> degraded_{false};
 };
 
@@ -268,7 +237,8 @@ class ProfileStore
  * them back, and importAnySim() additionally accepts a JSON idle
  * profile (see idleProfileSimFromJson) so externally measured idle
  * behavior can enter the pipeline. All throw StoreError on
- * malformed input.
+ * malformed input, which includes an embedded key that is neither
+ * empty nor a valid store key (see ProfileStore::remove()).
  * @{
  */
 

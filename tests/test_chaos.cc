@@ -120,8 +120,7 @@ TEST_F(ChaosTest, SeededFaultScheduleLeavesEveryRequestTerminal)
     // completion board, store faults fall back to
     // compute-without-cache — so every request must land in done.
     fault::configure("serve.claim:count=1, serve.status:every=3, "
-                     "store.write:prob=0.5:seed=42, "
-                     "store.index.lock:every=2");
+                     "store.write:prob=0.5:seed=42");
 
     constexpr int kSocket = 4;
     for (int i = 0; i < kSocket; ++i) {
@@ -169,7 +168,6 @@ TEST_F(ChaosTest, SeededFaultScheduleLeavesEveryRequestTerminal)
 
     // The schedule actually exercised the store's failure paths.
     EXPECT_GT(fault::fired("store.write") +
-                  fault::fired("store.index.lock") +
                   fault::fired("serve.status"),
               0u);
 
@@ -397,7 +395,6 @@ TEST_F(ChaosTest, FreshDaemonServesSameStoreByteIdentically)
         cfg.once = true;
         Daemon daemon(cfg);
         fault::configure("store.write:every=2, "
-                         "store.index.lock:count=2, "
                          "serve.status:every=2");
         writeFile(fs::path(spool_a) / "req.json", kSpec);
         daemon.drainOnce();

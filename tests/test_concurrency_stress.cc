@@ -182,9 +182,9 @@ TEST(ServeStress, TwoDaemonsDrainOneSpoolExactlyOnce)
 /**
  * One ProfileStore instance shared by several threads: concurrent
  * save() of distinct keys, repeated save() of one contended key, and
- * load() traffic racing both. The store serializes its in-memory
- * index behind index_mu_ and writes entries atomically, so every
- * load must return either "absent" or a complete, uncorrupted sim.
+ * load() traffic racing both. The store writes entries atomically
+ * and keeps no other state, so every load must return either
+ * "absent" or a complete, uncorrupted sim.
  */
 TEST(StoreStress, ConcurrentSaveAndLoadOnOneInstance)
 {
@@ -224,7 +224,7 @@ TEST(StoreStress, ConcurrentSaveAndLoadOnOneInstance)
         t.join();
 
     EXPECT_EQ(torn.load(), 0) << "a load returned a torn entry";
-    EXPECT_EQ(store.summaries().size(),
+    EXPECT_EQ(store.list().size(),
               static_cast<std::size_t>(kThreads * kIters + 1));
 }
 

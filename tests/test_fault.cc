@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the fault-injection layer (common/fault.hh) and the
  * failure-domain hardening it drives: trigger grammar, deterministic
- * schedules, file/lock fault points, store write retries, graceful
+ * schedules, the file fault point, store write retries, graceful
  * degradation, and corruption quarantine.
  */
 
@@ -19,7 +19,6 @@
 #include "common/files.hh"
 #include "obs/metrics.hh"
 #include "store/profile_store.hh"
-#include "store/store_index.hh"
 
 namespace
 {
@@ -27,7 +26,6 @@ namespace
 namespace fs = std::filesystem;
 using namespace lsim;
 using store::ProfileStore;
-using store::StoreIndex;
 
 /** Fresh per-test directory under gtest's temp root. */
 std::string
@@ -176,7 +174,7 @@ TEST_F(FaultTest, PointsAreIndependent)
     EXPECT_EQ(fault::fired("unrelated"), 0u);
 }
 
-// --------------------------------------------- file fault points
+// ---------------------------------------------- file fault point
 
 TEST_F(FaultTest, AtomicWriteFileFault)
 {
@@ -187,85 +185,6 @@ TEST_F(FaultTest, AtomicWriteFileFault)
     // The trigger is spent: the next write goes through.
     EXPECT_TRUE(atomicWriteFile(dir + "/f", "data"));
     EXPECT_TRUE(fs::exists(dir + "/f"));
-}
-
-TEST_F(FaultTest, FileLockFault)
-{
-    const std::string dir = freshDir("lock");
-    fault::configure("file.lock:count=1");
-    EXPECT_FALSE(FileLock::acquire(dir + "/l", 100).has_value());
-    EXPECT_TRUE(FileLock::acquire(dir + "/l", 100).has_value());
-}
-
-// ------------------------------------ index lock degraded path
-
-TEST_F(FaultTest, IndexLockTimeoutDegradesAndCounts)
-{
-    const std::string dir = freshDir("index_lock");
-    StoreIndex index(dir);
-    index.put("k", store::IndexEntry{});
-
-    const auto retries_before =
-        obs::counter("store.retries").value();
-    const auto timeouts_before =
-        obs::counter("store.lock_timeouts").value();
-
-    // Every acquisition attempt fails, so save() exhausts its
-    // bounded retries and falls back to the degraded no-lock path:
-    // it still returns true (the index is written) but the shared
-    // reconcile was skipped.
-    fault::configure("store.index.lock");
-    EXPECT_TRUE(index.save());
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "index.json"));
-
-    EXPECT_GE(obs::counter("store.retries").value(),
-              retries_before + 3);
-    EXPECT_EQ(obs::counter("store.lock_timeouts").value(),
-              timeouts_before + 1);
-}
-
-TEST_F(FaultTest, SaveAfterALockTimeoutWriteReloads)
-{
-    const std::string dir = freshDir("index_lock_reload");
-    StoreIndex index(dir);
-    index.put("a", store::IndexEntry{});
-    ASSERT_TRUE(index.save());
-
-    // A last-writer-wins write may share its generation with another
-    // writer's flush, so the image it leaves is never trusted.
-    fault::configure("store.index.lock");
-    index.put("b", store::IndexEntry{});
-    ASSERT_TRUE(index.save());
-    fault::reset();
-
-    const auto reloads = [] {
-        return obs::counter("store.index_reloads").value();
-    };
-    const auto before = reloads();
-    index.put("c", store::IndexEntry{});
-    ASSERT_TRUE(index.save());
-    EXPECT_EQ(reloads(), before + 1);
-    index.put("d", store::IndexEntry{});
-    ASSERT_TRUE(index.save());
-    EXPECT_EQ(reloads(), before + 1); // trusted again
-    EXPECT_EQ(StoreIndex(dir).entries().size(), 4u);
-}
-
-TEST_F(FaultTest, IndexLockTransientFailureIsRetried)
-{
-    const std::string dir = freshDir("index_retry");
-    StoreIndex index(dir);
-    index.put("k", store::IndexEntry{});
-
-    const auto timeouts_before =
-        obs::counter("store.lock_timeouts").value();
-    // First attempt fails, the retry succeeds: the locked path runs
-    // and the generation advances as usual.
-    fault::configure("store.index.lock:count=1");
-    EXPECT_TRUE(index.save());
-    EXPECT_EQ(index.generation(), 1u);
-    EXPECT_EQ(obs::counter("store.lock_timeouts").value(),
-              timeouts_before);
 }
 
 // --------------------------------------- store write hardening
@@ -315,45 +234,61 @@ TEST_F(FaultTest, PersistentWriteFaultDegradesStore)
 
 TEST_F(FaultTest, CorruptEntryIsQuarantinedOnce)
 {
+    // Two corruptions: one byte flipped mid-payload (the checksum
+    // fails), and the top byte of the little-endian payload-size
+    // field at offset 20 set (a size far past the end of the file;
+    // the field is outside the checksum).
+    const struct
+    {
+        const char *what;
+        bool mid_payload;
+        std::streamoff offset;
+        char byte;
+    } corruptions[] = {
+        {"mid-payload byte", true, 0, '\xff'},
+        {"payload-size top byte", false, 27, '\x01'},
+    };
     const std::string dir = freshDir("quarantine");
     const ProfileStore db(dir);
-    db.save("entry", simulateSmall());
-
-    // Flip one byte mid-payload so the checksum fails.
+    const auto sim = simulateSmall();
     const std::string path =
         dir + "/entry" + std::string(ProfileStore::kExtension);
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        ASSERT_TRUE(f.is_open());
-        f.seekg(0, std::ios::end);
-        const auto size = static_cast<std::streamoff>(f.tellg());
-        f.seekp(size / 2);
-        f.put('\xff');
+    for (const auto &c : corruptions) {
+        SCOPED_TRACE(c.what);
+        db.save("entry", sim);
+        {
+            std::fstream f(path, std::ios::in | std::ios::out |
+                                     std::ios::binary);
+            ASSERT_TRUE(f.is_open());
+            f.seekg(0, std::ios::end);
+            const auto size = static_cast<std::streamoff>(f.tellg());
+            f.seekp(c.mid_payload ? size / 2 : c.offset);
+            f.put(c.byte);
+        }
+
+        const auto quarantined_before =
+            obs::counter("store.quarantined").value();
+        EXPECT_FALSE(db.load("entry").has_value());
+
+        // The corrupt file moved to <dir>/quarantine/ instead of
+        // being warned about forever.
+        EXPECT_FALSE(fs::exists(path));
+        EXPECT_TRUE(fs::exists(fs::path(dir) /
+                               ProfileStore::kQuarantineDir /
+                               ("entry" +
+                                std::string(ProfileStore::kExtension))));
+        EXPECT_EQ(obs::counter("store.quarantined").value(),
+                  quarantined_before + 1);
+
+        // The second load is a plain miss — no second quarantine.
+        EXPECT_FALSE(db.load("entry").has_value());
+        EXPECT_EQ(obs::counter("store.quarantined").value(),
+                  quarantined_before + 1);
+
+        // The slot is reusable: a fresh save round-trips.
+        db.save("entry", sim);
+        EXPECT_TRUE(db.load("entry").has_value());
     }
-
-    const auto quarantined_before =
-        obs::counter("store.quarantined").value();
-    EXPECT_FALSE(db.load("entry").has_value());
-
-    // The corrupt file moved to <dir>/quarantine/ and left the
-    // index, instead of being warned about forever.
-    EXPECT_FALSE(fs::exists(path));
-    EXPECT_TRUE(fs::exists(fs::path(dir) /
-                           ProfileStore::kQuarantineDir /
-                           ("entry" +
-                            std::string(ProfileStore::kExtension))));
-    EXPECT_EQ(obs::counter("store.quarantined").value(),
-              quarantined_before + 1);
-
-    // The second load is a plain miss — no second quarantine.
-    EXPECT_FALSE(db.load("entry").has_value());
-    EXPECT_EQ(obs::counter("store.quarantined").value(),
-              quarantined_before + 1);
-
-    // The slot is reusable: a fresh save round-trips.
-    db.save("entry", simulateSmall());
-    EXPECT_TRUE(db.load("entry").has_value());
 }
 
 TEST_F(FaultTest, InjectedReadFaultQuarantines)

@@ -190,10 +190,9 @@ TEST(MultiPointReplay, ShardedReplayIsThreadCountInvariant)
             replay::IntervalSet::fromProfile(idle), points, specs,
             options);
         EXPECT_GT(engine.numChunks(), 1u);
-        api::detail::parallelFor(engine.numTasks(), threads,
-                                 [&](std::size_t i) {
-            engine.runTask(i);
-        });
+        api::detail::ThreadPool pool(threads);
+        pool.run(engine.numTasks(),
+                 [&](std::size_t i) { engine.runTask(i); });
         runs.push_back(engine.finalize());
     }
     // Merges happen in chunk order, so scheduling cannot change a

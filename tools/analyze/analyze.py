@@ -4,8 +4,8 @@
 Where tools/lint.py is a token grep, this pass actually parses the
 C++ sources: a lexer plus a lightweight declaration/scope parser
 extract, per function, which locks are acquired (RAII guards over
-annotated lsim::Mutex, accessor-returned mutexes, FileLock::acquire
-scopes) and which functions are called while each lock is held. Call
+annotated lsim::Mutex and accessor-returned mutexes) and which
+functions are called while each lock is held. Call
 edges are resolved across translation units (bare calls through the
 enclosing class, member calls through declared member types, chained
 calls through return types), acquisition and blocking sets propagate
@@ -25,11 +25,10 @@ Checks:
                        out a GUARDED_BY member without a REQUIRES
                        contract.
 
-Deliberate debt (today: the store holds index_mu_ across the on-disk
-index merge, by design) lives in tools/analyze/allowlist.txt with the
-same ratchet semantics as lint_allowlist.txt: counts may only burn
-down, and shrinking them demands --update so the new floor is locked
-in. Any new edge fails the build.
+Deliberate debt (today: none) lives in tools/analyze/allowlist.txt
+with the same ratchet semantics as lint_allowlist.txt: counts may
+only burn down, and shrinking them demands --update so the new floor
+is locked in. Any new edge fails the build.
 
 Usage:
   tools/analyze/analyze.py               analyze src/ against the allowlist
@@ -66,9 +65,9 @@ GUARD_TYPES = {"MutexLock", "lock_guard", "unique_lock",
 CV_OPS = {"wait", "wait_for", "wait_until", "notify_one", "notify_all"}
 
 # Names that park the calling thread in the kernel (or do unbounded
-# filesystem work).  atomicWriteFile / FileLock::acquire are ours but
-# are the repo's canonical slow-path primitives, so they are
-# boundaries: callers see them, not their syscall internals.
+# filesystem work).  atomicWriteFile is ours but is the repo's
+# canonical slow-path primitive, so it is a boundary: callers see it,
+# not its syscall internals.
 BLOCKING = {
     "recv", "recvfrom", "recvmsg", "send", "sendto", "sendmsg",
     "accept", "accept4", "connect", "poll", "select", "epoll_wait",
@@ -850,8 +849,6 @@ class Model:
         parts = ev.parts
         m = parts[-1]
         if len(parts) >= 2:
-            if parts[-2:] == ["FileLock", "acquire"]:
-                return "<filelock>"
             suffix = "::".join(parts)
             cands = [q for q in self.name_index.get(m, set())
                      if q == suffix or q.endswith("::" + suffix)]
@@ -1004,14 +1001,6 @@ def analyze_body(fn, model):
                 events_by_close[close] = ev
                 j = k + 1
                 continue
-            if parts[-2:] == ["FileLock", "acquire"] or \
-                    (m == "acquire" and receiver == "FileLock"):
-                events.append(BlockEvent("FileLock::acquire", t.line, held()))
-                events.append(AcqEvent("<filelock>", t.line, held()))
-                guards.append(["<filelock>", depth, "<filelock>",
-                               "<filelock>"])
-                j = k + 1
-                continue
             ev = CallEvent(parts, receiver, chained, t.line, held(),
                            close, [None])
             events.append(ev)
@@ -1081,7 +1070,7 @@ def fixpoint(model):
                 ev.resolved[0] = ev.resolved[0] or \
                     model.resolve_call(ev, d, d.events_by_close)
                 m = ev.parts[-1]
-                if m in BLOCKING and ev.resolved[0] != "<filelock>":
+                if m in BLOCKING:
                     target = ev.resolved[0]
                     if target is None or m == "atomicWriteFile":
                         b.setdefault(m, (d.file, ev.line, (q,)))
@@ -1096,7 +1085,7 @@ def fixpoint(model):
                 if not isinstance(ev, CallEvent):
                     continue
                 g = ev.resolved[0]
-                if g is None or g == "<filelock>" or g not in acq:
+                if g is None or g not in acq:
                     continue
                 for lock, (f, l, chain) in acq[g].items():
                     if lock not in a:

@@ -45,8 +45,8 @@ otherwise live only in comments and review memory:
                   silently shadow another.
 
   fault-point     Every I/O call site in the serve/store tier
-                  (atomicWriteFile, FileLock::acquire, raw socket
-                  recv/send/accept4 under src/store and src/serve)
+                  (atomicWriteFile, raw socket recv/send/accept4
+                  under src/store and src/serve)
                   must sit in the shadow of a registered LSIM_FAULT
                   point, so the fault-injection layer's coverage of
                   failure domains stays complete by construction —
@@ -303,8 +303,7 @@ class Linter:
     # ----------------------------------------------- rule: fault-point
 
     FAULT_IO_PATTERN = re.compile(
-        r"\batomicWriteFile\s*\(|\bFileLock\s*::\s*acquire\b"
-        r"|::recv\s*\(|::send\s*\(|::accept4\s*\(")
+        r"\batomicWriteFile\s*\(|::recv\s*\(|::send\s*\(|::accept4\s*\(")
 
     # An LSIM_FAULT check must appear this many lines (or fewer)
     # before the I/O call it guards; a few lines after also count,

@@ -723,8 +723,8 @@ cmdSweep(const Args &args)
 
 // ------------------------------------------------- profile command
 
-/** One summary row per stored/exported simulation. Keep the two
- * overloads' columns in lockstep with simSummaryTable(). */
+/** One summary row per stored/exported simulation; columns as in
+ * simSummaryTable(). */
 void
 printSimSummary(Table &t, const std::string &key,
                 const harness::WorkloadSim &ws)
@@ -734,16 +734,6 @@ printSimSummary(Table &t, const std::string &key,
               fixed(ws.sim.ipc, 3),
               fixed(ws.idle.idleFraction(), 3),
               std::to_string(ws.idle.numIntervals())});
-}
-
-void
-printSimSummary(Table &t, const std::string &key,
-                const store::IndexEntry &entry)
-{
-    t.addRow({key, entry.name, std::to_string(entry.fus),
-              std::to_string(entry.committed), fixed(entry.ipc, 3),
-              fixed(entry.idle_fraction, 3),
-              std::to_string(entry.intervals)});
 }
 
 Table
@@ -838,13 +828,9 @@ cmdProfileLs(const Args &args)
         args.flagOrPositional("cache-dir", ~std::size_t{0});
     if (cache_dir.empty())
         die("profile ls: missing --cache-dir DIR");
-    // Served from the store index: no entry deserialization, O(1)
-    // per row on an indexed store (unindexed files are read once
-    // and adopted).
     Table t = simSummaryTable();
-    for (const auto &row :
-         store::ProfileStore(cache_dir).summaries())
-        printSimSummary(t, row.key, row.entry);
+    for (const auto &entry : store::ProfileStore(cache_dir).list())
+        printSimSummary(t, entry.key, entry.sim);
     t.print(std::cout);
     return 0;
 }
