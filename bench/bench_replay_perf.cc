@@ -8,7 +8,9 @@
  *     grid sizes on simulated Table 3 workloads. The reference grid
  *     is 20 technology points x 4 workloads under the paper's four
  *     policies; CI gates on the engine being at least --min-speedup
- *     times the scalar path there.
+ *     times the scalar path there. Each side's time is the median
+ *     of five batches of at least 20 ms, run alternately with the
+ *     other side's batches.
  *  2. Dense grid — the same scalar-vs-engine comparison on a dense
  *     synthetic 20-point grid whose interval multiset is rich
  *     enough (kDenseDistinct distinct lengths) that replay work,
@@ -32,8 +34,10 @@
  *     latency is machine-dependent).
  *  5. O3 core — phase-1 simulation throughput (million committed
  *     instructions per second) of mcf, health, gcc and vortex at
- *     their Table 3 FU counts, 50k instructions, median of 5 runs.
- *     Reported and recorded; not gated.
+ *     their Table 3 FU counts, 50k instructions, median of 5 runs,
+ *     and the time to build each one's static program (median of 5
+ *     TraceGenerator constructions at the same seed). Reported and
+ *     recorded; not gated.
  *  6. Render — one serial SweepResult::toCsv() and toJson() of a
  *     sweep shaped like one of perfbench's warm_grid sweeps (the
  *     nine Table 3 benchmarks x 34 points x its seven policies, at
@@ -88,6 +92,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/experiment.hh"
@@ -103,6 +109,7 @@
 #include "serve/daemon.hh"
 #include "serve/socket.hh"
 #include "sleep/policy_registry.hh"
+#include "trace/generator.hh"
 #include "trace/profile.hh"
 
 namespace
@@ -121,26 +128,84 @@ constexpr std::size_t kDenseDistinct = 3500;
  * auto-shard threshold, so chunking engages as in production). */
 constexpr std::size_t kShardedDistinct = 24'000;
 
-/** Wall time of @p fn, best of enough repeats to exceed ~20 ms per
- * measurement (replays on small profiles run in microseconds). */
+/** Wall time of @p iters back-to-back calls of @p fn, in ms. */
+template <typename Fn>
+double
+batchMs(Fn &&fn, std::size_t iters)
+{
+    using clock = std::chrono::steady_clock;
+    const auto start = clock::now();
+    for (std::size_t i = 0; i < iters; ++i)
+        fn();
+    return std::chrono::duration<double, std::milli>(clock::now() -
+                                                     start)
+        .count();
+}
+
+/** A batch size and its mean time per call. */
+struct Batch
+{
+    std::size_t iters = 1;
+    double ms = 0.0; ///< per call
+};
+
+/** The first batch of @p fn, growing from one call, that lasts at
+ * least 20 ms (replays on small profiles run in microseconds). */
+template <typename Fn>
+Batch
+calibrate(Fn &&fn)
+{
+    Batch b;
+    for (;;) {
+        const double ms = batchMs(fn, b.iters);
+        if (ms >= 20.0) {
+            b.ms = ms / static_cast<double>(b.iters);
+            return b;
+        }
+        b.iters *= ms < 2.0 ? 8 : 2;
+    }
+}
+
+/** Mean wall time per call of @p fn over one batch of at least
+ * 20 ms. */
 template <typename Fn>
 double
 timeMs(Fn &&fn)
 {
-    using clock = std::chrono::steady_clock;
-    std::size_t iters = 1;
-    for (;;) {
-        const auto start = clock::now();
-        for (std::size_t i = 0; i < iters; ++i)
-            fn();
-        const double ms =
-            std::chrono::duration<double, std::milli>(clock::now() -
-                                                      start)
-                .count();
-        if (ms >= 20.0)
-            return ms / static_cast<double>(iters);
-        iters *= ms < 2.0 ? 8 : 2;
+    return calibrate(fn).ms;
+}
+
+/** Batches per side in timePairMs. */
+constexpr int kPairBatches = 5;
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+/**
+ * Wall time per call of two paths that are compared with each other:
+ * after a calibration batch each, kPairBatches batches of at least
+ * 20 ms per side, run alternately (first, second, first, ...), so a
+ * slow stretch of a shared host lands on both sides. @return the
+ * median batch of each side, in ms per call.
+ */
+template <typename FnA, typename FnB>
+std::pair<double, double>
+timePairMs(FnA &&first, FnB &&second)
+{
+    const std::size_t iters_first = calibrate(first).iters;
+    const std::size_t iters_second = calibrate(second).iters;
+    std::vector<double> ms_first, ms_second;
+    for (int i = 0; i < kPairBatches; ++i) {
+        ms_first.push_back(batchMs(first, iters_first) /
+                           static_cast<double>(iters_first));
+        ms_second.push_back(batchMs(second, iters_second) /
+                            static_cast<double>(iters_second));
     }
+    return {median(ms_first), median(ms_second)};
 }
 
 struct GridResult
@@ -237,20 +302,20 @@ measureGrid(const std::vector<harness::WorkloadSim> &sims,
     }
 
     // The scalar reference: one evaluateProfile per (workload,
-    // point) cell, one walk over the interval multiset each.
-    grid.scalar_ms = timeMs([&] {
-        for (const auto &ws : sims)
-            for (const auto &mp : points)
-                api::evaluateProfile(ws.idle, mp, keys);
-    });
-
-    // The engine phase 2: per workload, one pass over the multiset
-    // for all points (construction included — it is part of the
+    // point) cell, one walk over the interval multiset each. The
+    // engine phase 2: per workload, one pass over the multiset for
+    // all points (construction included — it is part of the
     // per-cell cost the sweep pays).
-    grid.multi_ms = timeMs([&] {
-        for (const auto &ws : sims)
-            replay::replayProfile(ws.idle, points, keys);
-    });
+    std::tie(grid.scalar_ms, grid.multi_ms) = timePairMs(
+        [&] {
+            for (const auto &ws : sims)
+                for (const auto &mp : points)
+                    api::evaluateProfile(ws.idle, mp, keys);
+        },
+        [&] {
+            for (const auto &ws : sims)
+                replay::replayProfile(ws.idle, points, keys);
+        });
     return grid;
 }
 
@@ -299,15 +364,16 @@ measureDense(const harness::IdleProfile &idle,
         grid.units = probe.numUnits();
     }
 
-    grid.scalar_ms = timeMs([&] {
-        for (const auto &mp : points)
-            api::evaluateProfile(idle, mp, keys);
-    });
-    grid.multi_ms = timeMs([&] {
-        replay::MultiPointReplay engine(set, points, keys);
-        engine.runAll();
-        (void)engine.finalize();
-    });
+    std::tie(grid.scalar_ms, grid.multi_ms) = timePairMs(
+        [&] {
+            for (const auto &mp : points)
+                api::evaluateProfile(idle, mp, keys);
+        },
+        [&] {
+            replay::MultiPointReplay engine(set, points, keys);
+            engine.runAll();
+            (void)engine.finalize();
+        });
     return grid;
 }
 
@@ -470,6 +536,7 @@ struct CoreResult
     const char *name = "";
     unsigned fus = 0;
     double minst_per_s = 0.0; ///< median over kCoreReps runs
+    double build_ms = 0.0;    ///< median over kCoreReps builds
 };
 
 constexpr std::uint64_t kCoreInsts = 50'000;
@@ -478,28 +545,38 @@ constexpr int kCoreReps = 5;
 /**
  * O3 throughput of the benchmarks the cold daemon workloads simulate,
  * each at its Table 3 FU count, through the same
- * harness::simulateWorkload call the batch runner makes.
+ * harness::simulateWorkload call the batch runner makes; beside it,
+ * the time to build the benchmark's static program (a
+ * trace::TraceGenerator construction at the same seed), which each
+ * of those runs pays before its first cycle.
  */
 std::vector<CoreResult>
 measureCore(std::uint64_t seed)
 {
+    using clock = std::chrono::steady_clock;
     std::vector<CoreResult> out;
     for (const char *name : {"mcf", "health", "gcc", "vortex"}) {
         const trace::WorkloadProfile &profile =
             trace::profileByName(name);
         std::vector<double> rates;
+        std::vector<double> builds;
         for (int rep = 0; rep < kCoreReps; ++rep) {
-            const auto start = std::chrono::steady_clock::now();
+            const auto start = clock::now();
             const harness::WorkloadSim ws = harness::simulateWorkload(
                 profile, profile.paper_fus, kCoreInsts, {}, seed);
             const double us = std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() -
-                                  start)
+                                  clock::now() - start)
                                   .count();
             rates.push_back(static_cast<double>(ws.sim.committed) / us);
+
+            const auto build_start = clock::now();
+            const trace::TraceGenerator gen(profile, seed);
+            builds.push_back(std::chrono::duration<double, std::milli>(
+                                 clock::now() - build_start)
+                                 .count());
         }
-        std::sort(rates.begin(), rates.end());
-        out.push_back({name, profile.paper_fus, rates[kCoreReps / 2]});
+        out.push_back({name, profile.paper_fus, median(rates),
+                       median(builds)});
     }
     return out;
 }
@@ -801,10 +878,10 @@ main(int argc, char **argv)
               << fixed(served.warm_ms, 3) << " ms/request, socket warm "
               << fixed(served.socket_warm_ms, 3) << " ms/request\n";
 
-    Table tcore({"benchmark", "fus", "Minst/s"});
+    Table tcore({"benchmark", "fus", "Minst/s", "build (ms)"});
     for (const auto &c : core)
         tcore.addRow({c.name, std::to_string(c.fus),
-                      fixed(c.minst_per_s, 3)});
+                      fixed(c.minst_per_s, 3), fixed(c.build_ms, 3)});
     std::cout << "\nO3 core (" << kCoreInsts
               << " instructions, median of " << kCoreReps << "):\n";
     tcore.print(std::cout);
@@ -915,6 +992,7 @@ main(int argc, char **argv)
             w.field("name", c.name);
             w.field("fus", c.fus);
             w.field("minst_per_s", c.minst_per_s);
+            w.field("build_ms", c.build_ms);
             w.endObject();
         }
         w.endArray();

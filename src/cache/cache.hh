@@ -107,6 +107,69 @@ class Cache
     unsigned line_shift_;
 };
 
+// The access path is defined here so that the core's stages inline
+// it.
+
+inline std::uint64_t
+Cache::setIndex(Addr addr) const
+{
+    return (addr >> line_shift_) & set_mask_;
+}
+
+inline Addr
+Cache::tagOf(Addr addr) const
+{
+    return addr >> line_shift_;
+}
+
+inline Cycle
+Cache::access(Addr addr, bool is_write)
+{
+    ++stats_.accesses;
+    const std::uint64_t set = setIndex(addr);
+    const Addr tag = tagOf(addr);
+    Line *base = &lines_[set * config_.assoc];
+
+    Line *victim = base;
+    for (unsigned way = 0; way < config_.assoc; ++way) {
+        Line &line = base[way];
+        if (line.valid && line.tag == tag) {
+            line.lru = ++lru_clock_;
+            line.dirty = line.dirty || is_write;
+            return config_.hit_latency;
+        }
+        if (!line.valid) {
+            victim = &line;
+        } else if (victim->valid && line.lru < victim->lru) {
+            victim = &line;
+        }
+    }
+
+    // Miss: fill from downstream (write-allocate).
+    ++stats_.misses;
+    Cycle fill = memory_latency_;
+    if (next_)
+        fill = next_->access(addr, false);
+
+    if (victim->valid && victim->dirty) {
+        ++stats_.writebacks;
+        if (next_) {
+            // Writebacks occupy the next level (affecting its
+            // contents) but are buffered, so they add no latency to
+            // the demand fill.
+            const Addr victim_addr =
+                victim->tag << line_shift_;
+            (void)next_->access(victim_addr, true);
+        }
+    }
+
+    victim->valid = true;
+    victim->dirty = is_write;
+    victim->tag = tag;
+    victim->lru = ++lru_clock_;
+    return config_.hit_latency + fill;
+}
+
 } // namespace lsim::cache
 
 #endif // LSIM_CACHE_CACHE_HH

@@ -14,18 +14,6 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config)
     dtlb_ = std::make_unique<Tlb>(config_.dtlb);
 }
 
-Cycle
-MemoryHierarchy::fetch(Addr pc)
-{
-    return itlb_->access(pc) + l1i_->access(pc, false);
-}
-
-Cycle
-MemoryHierarchy::data(Addr addr, bool is_write)
-{
-    return dtlb_->access(addr) + l1d_->access(addr, is_write);
-}
-
 void
 MemoryHierarchy::flushAll()
 {

@@ -66,6 +66,21 @@ class MemoryHierarchy
     std::unique_ptr<Tlb> dtlb_;
 };
 
+// The access path is defined here so that the core's stages inline
+// it.
+
+inline Cycle
+MemoryHierarchy::fetch(Addr pc)
+{
+    return itlb_->access(pc) + l1i_->access(pc, false);
+}
+
+inline Cycle
+MemoryHierarchy::data(Addr addr, bool is_write)
+{
+    return dtlb_->access(addr) + l1d_->access(addr, is_write);
+}
+
 } // namespace lsim::cache
 
 #endif // LSIM_CACHE_HIERARCHY_HH

@@ -78,6 +78,38 @@ class Tlb
     TlbStats stats_;
 };
 
+// The access path is defined here so that the core's stages inline
+// it.
+
+inline Cycle
+Tlb::access(Addr addr)
+{
+    ++stats_.accesses;
+    const Addr vpn = addr >> page_shift_;
+    const std::uint64_t set = vpn & set_mask_;
+    Entry *base = &entries_[set * config_.assoc];
+
+    Entry *victim = base;
+    for (unsigned way = 0; way < config_.assoc; ++way) {
+        Entry &e = base[way];
+        if (e.valid && e.vpn == vpn) {
+            e.lru = ++lru_clock_;
+            return 0;
+        }
+        if (!e.valid) {
+            victim = &e;
+        } else if (victim->valid && e.lru < victim->lru) {
+            victim = &e;
+        }
+    }
+
+    ++stats_.misses;
+    victim->valid = true;
+    victim->vpn = vpn;
+    victim->lru = ++lru_clock_;
+    return config_.miss_latency;
+}
+
 } // namespace lsim::cache
 
 #endif // LSIM_CACHE_TLB_HH

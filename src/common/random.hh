@@ -89,22 +89,6 @@ class Rng
         return uniform() < prob;
     }
 
-    /**
-     * Geometric sample >= 1 with success probability @p prob: the
-     * number of trials up to and including the first success.
-     */
-    std::uint64_t
-    geometric(double prob)
-    {
-        if (prob >= 1.0)
-            return 1;
-        if (prob <= 0.0)
-            return 1;
-        const double u = 1.0 - uniform(); // in (0, 1]
-        const double val = std::ceil(std::log(u) / std::log1p(-prob));
-        return val < 1.0 ? 1 : static_cast<std::uint64_t>(val);
-    }
-
     /** @return integer uniform in [lo, hi] inclusive. */
     std::int64_t
     between(std::int64_t lo, std::int64_t hi)
@@ -121,6 +105,38 @@ class Rng
     }
 
     std::uint64_t state_[4];
+};
+
+/**
+ * Geometric samples >= 1 with a fixed success probability: the number
+ * of trials up to and including the first success. log1p(-prob) is
+ * computed once, at construction, rather than on every draw.
+ */
+class GeometricSampler
+{
+  public:
+    /** A @p prob of 0 or less, or 1 or more, makes every draw 1
+     * without consuming randomness. */
+    explicit GeometricSampler(double prob)
+        : degenerate_(prob >= 1.0 || prob <= 0.0),
+          denom_(degenerate_ ? 0.0 : std::log1p(-prob))
+    {
+    }
+
+    /** @return the next sample, drawing one uniform from @p rng. */
+    std::uint64_t
+    draw(Rng &rng) const
+    {
+        if (degenerate_)
+            return 1;
+        const double u = 1.0 - rng.uniform(); // in (0, 1]
+        const double val = std::ceil(std::log(u) / denom_);
+        return val < 1.0 ? 1 : static_cast<std::uint64_t>(val);
+    }
+
+  private:
+    bool degenerate_;
+    double denom_;
 };
 
 } // namespace lsim

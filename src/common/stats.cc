@@ -1,29 +1,12 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
 
 namespace lsim::stats
 {
-
-void
-Scalar::sample(double value)
-{
-    if (count_ == 0) {
-        min_ = max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
-    ++count_;
-    sum_ += value;
-    const double delta = value - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (value - mean_);
-}
 
 void
 Scalar::sampleN(double value, std::uint64_t n)
@@ -78,14 +61,6 @@ Scalar::stddev() const
     return std::sqrt(variance());
 }
 
-int
-floorLog2(std::uint64_t v)
-{
-    if (v == 0)
-        panic("floorLog2(0) is undefined");
-    return 63 - std::countl_zero(v);
-}
-
 Log2Histogram::Log2Histogram(std::uint64_t clamp_value)
     : clamp_(clamp_value)
 {
@@ -94,20 +69,6 @@ Log2Histogram::Log2Histogram(std::uint64_t clamp_value)
               static_cast<unsigned long long>(clamp_));
     // Buckets [1,2), [2,4), ..., [clamp/2, clamp), plus clamp bucket.
     weights_.assign(static_cast<std::size_t>(floorLog2(clamp_)) + 1, 0.0);
-}
-
-void
-Log2Histogram::sample(std::uint64_t value, double weight)
-{
-    if (value == 0)
-        return;
-    ++count_;
-    std::size_t idx;
-    if (value >= clamp_)
-        idx = weights_.size() - 1;
-    else
-        idx = static_cast<std::size_t>(floorLog2(value));
-    weights_[idx] += weight;
 }
 
 std::uint64_t

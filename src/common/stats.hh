@@ -8,9 +8,13 @@
 #ifndef LSIM_COMMON_STATS_HH
 #define LSIM_COMMON_STATS_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/logging.hh"
 
 namespace lsim::stats
 {
@@ -121,7 +125,46 @@ class Log2Histogram
 };
 
 /** @return floor(log2(v)) for v >= 1. */
-int floorLog2(std::uint64_t v);
+inline int
+floorLog2(std::uint64_t v)
+{
+    if (v == 0)
+        panic("floorLog2(0) is undefined");
+    return 63 - std::countl_zero(v);
+}
+
+// The sample methods are defined here so that the simulator's idle
+// recorders inline them.
+
+inline void
+Scalar::sample(double value)
+{
+    if (count_ == 0) {
+        min_ = max_ = value;
+    } else {
+        min_ = std::min(min_, value);
+        max_ = std::max(max_, value);
+    }
+    ++count_;
+    sum_ += value;
+    const double delta = value - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (value - mean_);
+}
+
+inline void
+Log2Histogram::sample(std::uint64_t value, double weight)
+{
+    if (value == 0)
+        return;
+    ++count_;
+    std::size_t idx;
+    if (value >= clamp_)
+        idx = weights_.size() - 1;
+    else
+        idx = static_cast<std::size_t>(floorLog2(value));
+    weights_[idx] += weight;
+}
 
 } // namespace lsim::stats
 

@@ -49,9 +49,9 @@ CoreConfig::validate() const
     if (fetch_queue_entries == 0 || rob_entries == 0 ||
         int_iq_entries == 0 || fp_iq_entries == 0)
         reject("zero queue capacity");
-    if (int_phys_regs < 32 || fp_phys_regs < 32)
-        reject("need at least 32 physical registers per file "
-               "(architectural state)");
+    if (int_phys_regs <= 32 || fp_phys_regs <= 32)
+        reject("need more than 32 physical registers per file "
+               "(32 hold the architectural state)");
     if (num_int_fus == 0 || num_int_fus > 8)
         reject("integer FU count " + std::to_string(num_int_fus) +
                " outside [1,8]");

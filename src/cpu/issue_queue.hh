@@ -8,6 +8,7 @@
 #ifndef LSIM_CPU_ISSUE_QUEUE_HH
 #define LSIM_CPU_ISSUE_QUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -82,6 +83,31 @@ class IssueQueue
     std::uint64_t last_seq_ = 0;   ///< youngest seq inserted
     std::vector<std::uint64_t> ready_; ///< ready seqs, oldest first
 };
+
+// The per-instruction operations are defined here so that the core's
+// stages inline them.
+
+inline void
+IssueQueue::insert(std::uint64_t seq, bool ready)
+{
+    if (full())
+        panic("IssueQueue::insert when full");
+    if (seq <= last_seq_)
+        panic("IssueQueue::insert out of program order");
+    last_seq_ = seq;
+    ++size_;
+    if (ready)
+        ready_.push_back(seq);
+}
+
+inline void
+IssueQueue::wake(std::uint64_t seq)
+{
+    if (ready_.size() == size_)
+        panic("IssueQueue::wake: no entry is waiting");
+    ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), seq),
+                  seq);
+}
 
 } // namespace lsim::cpu
 

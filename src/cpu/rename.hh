@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace lsim::cpu
@@ -105,6 +106,72 @@ class RenameMap
     /** Per physical register: instructions waiting for its value. */
     std::vector<std::vector<std::uint64_t>> consumers_;
 };
+
+// The per-instruction operations are defined here so that the core's
+// stages inline them.
+
+inline int
+RenameMap::lookup(int logical) const
+{
+    if (logical < 0 || logical >= static_cast<int>(num_logical_))
+        panic("RenameMap::lookup: bad logical register %d", logical);
+    return map_[logical];
+}
+
+inline int
+RenameMap::allocate(int logical, int &prev_phys)
+{
+    if (free_list_.empty())
+        panic("RenameMap::allocate with empty free list");
+    if (logical < 0 || logical >= static_cast<int>(num_logical_))
+        panic("RenameMap::allocate: bad logical register %d", logical);
+    const int phys = free_list_.back();
+    free_list_.pop_back();
+    if (!consumers_[phys].empty())
+        panic("RenameMap::allocate: physical register %d still has "
+              "waiting consumers", phys);
+    prev_phys = map_[logical];
+    map_[logical] = phys;
+    ready_[phys] = false;
+    return phys;
+}
+
+inline void
+RenameMap::release(int phys)
+{
+    if (phys < 0 || phys >= static_cast<int>(num_physical_))
+        panic("RenameMap::release: bad physical register %d", phys);
+    if (free_list_.size() >= num_physical_ - num_logical_)
+        panic("RenameMap::release: free list overflow");
+    free_list_.push_back(phys);
+}
+
+inline bool
+RenameMap::isReady(int phys) const
+{
+    if (phys == kNoPhysReg)
+        return true;
+    return ready_[phys];
+}
+
+inline void
+RenameMap::setReady(int phys)
+{
+    if (phys < 0 || phys >= static_cast<int>(num_physical_))
+        panic("RenameMap::setReady: bad physical register %d", phys);
+    ready_[phys] = true;
+}
+
+inline void
+RenameMap::addConsumer(int phys, std::uint64_t seq)
+{
+    if (phys < 0 || phys >= static_cast<int>(num_physical_))
+        panic("RenameMap::addConsumer: bad physical register %d", phys);
+    if (ready_[phys])
+        panic("RenameMap::addConsumer: physical register %d is ready",
+              phys);
+    consumers_[phys].push_back(seq);
+}
 
 } // namespace lsim::cpu
 

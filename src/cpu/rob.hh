@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "cpu/rename.hh"
 #include "trace/op.hh"
@@ -101,6 +102,75 @@ class ReorderBuffer
     std::uint64_t next_seq_ = 1;
     std::uint64_t head_seq_ = 1; ///< seq of the head entry
 };
+
+// The per-instruction operations are defined here so that the core's
+// stages inline them.
+
+inline RobEntry &
+ReorderBuffer::allocate()
+{
+    if (full())
+        panic("ReorderBuffer::allocate when full");
+    std::size_t slot = head_ + size_;
+    if (slot >= capacity_)
+        slot -= capacity_;
+    ++size_;
+    RobEntry &entry = entries_[slot];
+    entry = RobEntry{};
+    entry.seq = next_seq_++;
+    return entry;
+}
+
+inline RobEntry &
+ReorderBuffer::head()
+{
+    if (empty())
+        panic("ReorderBuffer::head when empty");
+    return entries_[head_];
+}
+
+inline const RobEntry &
+ReorderBuffer::head() const
+{
+    if (empty())
+        panic("ReorderBuffer::head when empty");
+    return entries_[head_];
+}
+
+inline void
+ReorderBuffer::popHead()
+{
+    if (empty())
+        panic("ReorderBuffer::popHead when empty");
+    if (++head_ == capacity_)
+        head_ = 0;
+    --size_;
+    ++head_seq_;
+}
+
+inline std::size_t
+ReorderBuffer::slotOf(std::uint64_t seq) const
+{
+    // seq is in flight, so the offset from the head is below the
+    // capacity and one wrap suffices.
+    const std::size_t slot = head_ + (seq - head_seq_);
+    return slot >= capacity_ ? slot - capacity_ : slot;
+}
+
+inline RobEntry &
+ReorderBuffer::bySeq(std::uint64_t seq)
+{
+    if (!contains(seq))
+        panic("ReorderBuffer::bySeq: %llu not in flight",
+              static_cast<unsigned long long>(seq));
+    return entries_[slotOf(seq)];
+}
+
+inline bool
+ReorderBuffer::contains(std::uint64_t seq) const
+{
+    return seq >= head_seq_ && seq < head_seq_ + size_;
+}
 
 } // namespace lsim::cpu
 

@@ -9,24 +9,6 @@ IdleIntervalRecorder::IdleIntervalRecorder(std::uint64_t clamp)
 }
 
 void
-IdleIntervalRecorder::tick(bool busy)
-{
-    ++total_;
-    if (busy) {
-        closeRun();
-    } else {
-        ++run_;
-    }
-}
-
-void
-IdleIntervalRecorder::idleRun(Cycle len)
-{
-    total_ += len;
-    run_ += len;
-}
-
-void
 IdleIntervalRecorder::idleRuns(Cycle len, std::uint64_t count)
 {
     if (len == 0 || count == 0)
@@ -42,31 +24,11 @@ IdleIntervalRecorder::idleRuns(Cycle len, std::uint64_t count)
 }
 
 void
-IdleIntervalRecorder::activeRun(Cycle len)
-{
-    if (len == 0)
-        return;
-    closeRun();
-    total_ += len;
-}
-
-void
 IdleIntervalRecorder::finish()
 {
     closeRun();
 }
 
-void
-IdleIntervalRecorder::closeRun()
-{
-    if (run_ == 0)
-        return;
-    hist_.sample(run_, static_cast<double>(run_));
-    lengths_.sample(static_cast<double>(run_));
-    idle_ += run_;
-    ++intervals_;
-    run_ = 0;
-}
 double
 IdleIntervalRecorder::idleFraction() const
 {

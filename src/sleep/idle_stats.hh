@@ -90,6 +90,48 @@ class IdleIntervalRecorder
     std::uint64_t intervals_ = 0;
 };
 
+// The run methods are defined here so that the functional-unit pool
+// inlines them.
+
+inline void
+IdleIntervalRecorder::tick(bool busy)
+{
+    ++total_;
+    if (busy) {
+        closeRun();
+    } else {
+        ++run_;
+    }
+}
+
+inline void
+IdleIntervalRecorder::idleRun(Cycle len)
+{
+    total_ += len;
+    run_ += len;
+}
+
+inline void
+IdleIntervalRecorder::activeRun(Cycle len)
+{
+    if (len == 0)
+        return;
+    closeRun();
+    total_ += len;
+}
+
+inline void
+IdleIntervalRecorder::closeRun()
+{
+    if (run_ == 0)
+        return;
+    hist_.sample(run_, static_cast<double>(run_));
+    lengths_.sample(static_cast<double>(run_));
+    idle_ += run_;
+    ++intervals_;
+    run_ = 0;
+}
+
 } // namespace lsim::sleep
 
 #endif // LSIM_SLEEP_IDLE_STATS_HH

@@ -10,7 +10,8 @@ namespace lsim::trace
 
 TraceGenerator::TraceGenerator(const WorkloadProfile &profile,
                                std::uint64_t seed)
-    : profile_(profile), rng_(seed ^ 0xa5a5'5a5a'1234'9876ull)
+    : profile_(profile), rng_(seed ^ 0xa5a5'5a5a'1234'9876ull),
+      dep_distance_(profile_.dep_distance_p)
 {
     profile_.validate();
     buildProgram();
@@ -59,8 +60,7 @@ TraceGenerator::pickSource(bool fp)
     if (!recent.empty() && rng_.chance(profile_.dep_density)) {
         // Producer at a geometric static distance: larger
         // dep_distance_p means closer producers (tighter chains).
-        const std::uint64_t dist =
-            rng_.geometric(profile_.dep_distance_p);
+        const std::uint64_t dist = dep_distance_.draw(rng_);
         const std::size_t idx =
             recent.size() >= dist ? recent.size() - dist : 0;
         return recent[idx];
@@ -176,24 +176,6 @@ TraceGenerator::makeMemSite()
     return site;
 }
 
-Addr
-TraceGenerator::nextAddress(MemSite &site)
-{
-    switch (site.kind) {
-      case SiteKind::Local:
-      case SiteKind::Resident:
-      case SiteKind::Streaming:
-        site.pos = (site.pos + site.stride) % site.region;
-        return site.base + site.pos;
-      case SiteKind::Irregular: {
-        const Addr hot = std::max(site.region / 8, Addr{4096});
-        const Addr span = rng_.chance(0.8) ? hot : site.region;
-        return site.base + (rng_.below(span) & ~Addr{3});
-      }
-    }
-    panic("bad SiteKind");
-}
-
 OpClass
 TraceGenerator::drawBodyClass()
 {
@@ -230,7 +212,28 @@ TraceGenerator::buildProgram()
     // the dynamic stream: B = (1 - f) / f.
     const double mean_len =
         (1.0 - profile_.frac_branch) / profile_.frac_branch;
-    const double geo_p = 1.0 / std::max(1.0, mean_len);
+    const GeometricSampler body_len(1.0 / std::max(1.0, mean_len));
+
+    // Reserve twice the expected program, so that the lists are
+    // built without reallocating: the clamped body lengths average at
+    // most mean_len, the body mix shares them out, and validate()
+    // bounds total * mean_len. Twice rather than just above the
+    // expectation keeps the largest block at the size that doubling
+    // growth reached: glibc sets its mmap and trim thresholds from
+    // the largest block freed, and later requests in the same
+    // process run under them.
+    const double body_mix = 1.0 - profile_.frac_branch;
+    const auto reserve = [&](auto &list, double share) {
+        list.reserve(
+            static_cast<std::size_t>(2.0 * total * mean_len * share) +
+            64);
+    };
+    reserve(insts_, 1.0);
+    reserve(mem_sites_,
+            (profile_.frac_load + profile_.frac_store) / body_mix);
+    reserve(recent_int_, (body_mix - profile_.frac_store -
+                          profile_.frac_fp) / body_mix);
+    reserve(recent_fp_, profile_.frac_fp / body_mix);
 
     // First pass: block bodies and addresses.
     blocks_.resize(total);
@@ -240,7 +243,7 @@ TraceGenerator::buildProgram()
         blk.pc = pc;
         blk.first_inst = static_cast<std::uint32_t>(insts_.size());
         const auto len = static_cast<std::uint32_t>(std::min<Cycle>(
-            rng_.geometric(geo_p), static_cast<Cycle>(4 * mean_len) + 1));
+            body_len.draw(rng_), static_cast<Cycle>(4 * mean_len) + 1));
         for (std::uint32_t i = 0; i < len; ++i)
             insts_.push_back(makeStaticInst(drawBodyClass()));
         blk.num_insts = len;
@@ -321,65 +324,6 @@ TraceGenerator::buildProgram()
     num_static_ = insts_.size() + blocks_.size();
     cur_block_ = 0;
     cursor_ = 0;
-}
-
-MicroOp
-TraceGenerator::next()
-{
-    ++icount_;
-    const Block &blk = blocks_[cur_block_];
-    MicroOp op{};
-
-    if (cursor_ < blk.num_insts) {
-        const StaticInst &si = insts_[blk.first_inst + cursor_];
-        op.pc = blk.pc + Addr{4} * cursor_;
-        op.cls = si.cls;
-        op.dst = si.dst;
-        op.src1 = si.src1;
-        op.src2 = si.src2;
-        if (si.mem_site >= 0)
-            op.mem_addr = nextAddress(mem_sites_[si.mem_site]);
-        ++cursor_;
-        return op;
-    }
-
-    // Terminator.
-    op.pc = blk.termPc();
-    op.cls = blk.term_cls;
-    op.src1 = blk.term_src;
-    op.dst = kNoReg;
-
-    std::uint32_t next_block;
-    switch (blk.term_cls) {
-      case OpClass::Branch:
-        op.taken = rng_.chance(blk.taken_prob);
-        next_block = op.taken ? blk.taken_succ : blk.fall_succ;
-        op.target = blocks_[blk.taken_succ].pc;
-        break;
-      case OpClass::Call:
-        op.taken = true;
-        op.target = blocks_[blk.call_target].pc;
-        next_block = blk.call_target;
-        if (call_stack_.size() < kMaxCallDepth)
-            call_stack_.push_back(blk.fall_succ);
-        break;
-      case OpClass::Return:
-        op.taken = true;
-        if (!call_stack_.empty()) {
-            next_block = call_stack_.back();
-            call_stack_.pop_back();
-        } else {
-            next_block = 0;
-        }
-        op.target = blocks_[next_block].pc;
-        break;
-      default:
-        panic("block %u has non-control terminator", cur_block_);
-    }
-
-    cur_block_ = next_block;
-    cursor_ = 0;
-    return op;
 }
 
 } // namespace lsim::trace

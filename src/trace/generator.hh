@@ -20,9 +20,11 @@
 #ifndef LSIM_TRACE_GENERATOR_HH
 #define LSIM_TRACE_GENERATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "trace/op.hh"
@@ -142,6 +144,8 @@ class TraceGenerator
 
     WorkloadProfile profile_;
     Rng rng_;
+    /** Static distance from a source to its producer. */
+    GeometricSampler dep_distance_;
 
     /** Shared array regions for resident and streaming sites. */
     std::vector<Region> resident_pool_;
@@ -176,6 +180,86 @@ class TraceGenerator
 
     static constexpr std::size_t kMaxCallDepth = 64;
 };
+
+// The dynamic walk is defined here so that the core's fetch stage
+// inlines it.
+
+inline Addr
+TraceGenerator::nextAddress(MemSite &site)
+{
+    switch (site.kind) {
+      case SiteKind::Local:
+      case SiteKind::Resident:
+      case SiteKind::Streaming:
+        site.pos = (site.pos + site.stride) % site.region;
+        return site.base + site.pos;
+      case SiteKind::Irregular: {
+        const Addr hot = std::max(site.region / 8, Addr{4096});
+        const Addr span = rng_.chance(0.8) ? hot : site.region;
+        return site.base + (rng_.below(span) & ~Addr{3});
+      }
+    }
+    panic("bad SiteKind");
+}
+
+inline MicroOp
+TraceGenerator::next()
+{
+    ++icount_;
+    const Block &blk = blocks_[cur_block_];
+    MicroOp op{};
+
+    if (cursor_ < blk.num_insts) {
+        const StaticInst &si = insts_[blk.first_inst + cursor_];
+        op.pc = blk.pc + Addr{4} * cursor_;
+        op.cls = si.cls;
+        op.dst = si.dst;
+        op.src1 = si.src1;
+        op.src2 = si.src2;
+        if (si.mem_site >= 0)
+            op.mem_addr = nextAddress(mem_sites_[si.mem_site]);
+        ++cursor_;
+        return op;
+    }
+
+    // Terminator.
+    op.pc = blk.termPc();
+    op.cls = blk.term_cls;
+    op.src1 = blk.term_src;
+    op.dst = kNoReg;
+
+    std::uint32_t next_block;
+    switch (blk.term_cls) {
+      case OpClass::Branch:
+        op.taken = rng_.chance(blk.taken_prob);
+        next_block = op.taken ? blk.taken_succ : blk.fall_succ;
+        op.target = blocks_[blk.taken_succ].pc;
+        break;
+      case OpClass::Call:
+        op.taken = true;
+        op.target = blocks_[blk.call_target].pc;
+        next_block = blk.call_target;
+        if (call_stack_.size() < kMaxCallDepth)
+            call_stack_.push_back(blk.fall_succ);
+        break;
+      case OpClass::Return:
+        op.taken = true;
+        if (!call_stack_.empty()) {
+            next_block = call_stack_.back();
+            call_stack_.pop_back();
+        } else {
+            next_block = 0;
+        }
+        op.target = blocks_[next_block].pc;
+        break;
+      default:
+        panic("block %u has non-control terminator", cur_block_);
+    }
+
+    cur_block_ = next_block;
+    cursor_ = 0;
+    return op;
+}
 
 } // namespace lsim::trace
 

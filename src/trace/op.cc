@@ -31,62 +31,4 @@ to_string(OpClass cls)
     panic("unknown OpClass %d", static_cast<int>(cls));
 }
 
-bool
-isIntClass(OpClass cls)
-{
-    switch (cls) {
-      case OpClass::IntAlu:
-      case OpClass::IntMult:
-      case OpClass::Load:
-      case OpClass::Store:
-      case OpClass::Branch:
-      case OpClass::Call:
-      case OpClass::Return:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isMemClass(OpClass cls)
-{
-    return cls == OpClass::Load || cls == OpClass::Store;
-}
-
-bool
-isControlClass(OpClass cls)
-{
-    return cls == OpClass::Branch || cls == OpClass::Call ||
-        cls == OpClass::Return;
-}
-
-bool
-isFpClass(OpClass cls)
-{
-    return cls == OpClass::FpAlu || cls == OpClass::FpMult;
-}
-
-Cycle
-execLatency(OpClass cls)
-{
-    switch (cls) {
-      case OpClass::IntAlu:
-      case OpClass::Branch:
-      case OpClass::Call:
-      case OpClass::Return:
-        return 1;
-      case OpClass::IntMult:
-        return 7;
-      case OpClass::Load:
-      case OpClass::Store:
-        return 1; // address generation; cache latency added separately
-      case OpClass::FpAlu:
-        return 4;
-      case OpClass::FpMult:
-        return 4;
-    }
-    panic("unknown OpClass %d", static_cast<int>(cls));
-}
-
 } // namespace lsim::trace

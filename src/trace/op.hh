@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace lsim::trace
@@ -38,18 +39,49 @@ inline constexpr unsigned kNumOpClasses = 9;
 /** @return mnemonic for an op class. */
 std::string to_string(OpClass cls);
 
+// The class predicates and execLatency are defined here so that the
+// generator and the core's stages inline them.
+
 /** @return true for classes executed by the integer functional units
  * (including load/store address generation, as in SimpleScalar). */
-bool isIntClass(OpClass cls);
+inline bool
+isIntClass(OpClass cls)
+{
+    switch (cls) {
+      case OpClass::IntAlu:
+      case OpClass::IntMult:
+      case OpClass::Load:
+      case OpClass::Store:
+      case OpClass::Branch:
+      case OpClass::Call:
+      case OpClass::Return:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** @return true for loads and stores. */
-bool isMemClass(OpClass cls);
+inline bool
+isMemClass(OpClass cls)
+{
+    return cls == OpClass::Load || cls == OpClass::Store;
+}
 
 /** @return true for control transfer classes. */
-bool isControlClass(OpClass cls);
+inline bool
+isControlClass(OpClass cls)
+{
+    return cls == OpClass::Branch || cls == OpClass::Call ||
+        cls == OpClass::Return;
+}
 
 /** @return true for floating point classes. */
-bool isFpClass(OpClass cls);
+inline bool
+isFpClass(OpClass cls)
+{
+    return cls == OpClass::FpAlu || cls == OpClass::FpMult;
+}
 
 /** Logical register count per file (int and fp each). */
 inline constexpr int kNumLogicalRegs = 32;
@@ -75,7 +107,27 @@ struct MicroOp
 };
 
 /** Execution latency in cycles of each op class (post-issue). */
-Cycle execLatency(OpClass cls);
+inline Cycle
+execLatency(OpClass cls)
+{
+    switch (cls) {
+      case OpClass::IntAlu:
+      case OpClass::Branch:
+      case OpClass::Call:
+      case OpClass::Return:
+        return 1;
+      case OpClass::IntMult:
+        return 7;
+      case OpClass::Load:
+      case OpClass::Store:
+        return 1; // address generation; cache latency added separately
+      case OpClass::FpAlu:
+        return 4;
+      case OpClass::FpMult:
+        return 4;
+    }
+    panic("unknown OpClass %d", static_cast<int>(cls));
+}
 
 } // namespace lsim::trace
 

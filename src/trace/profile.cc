@@ -95,6 +95,13 @@ WorkloadProfile::validationError() const
     if (num_blocks < 4)
         return "num_blocks " + std::to_string(num_blocks) +
                " below the 4-block minimum";
+    const double static_insts = num_blocks / frac_branch;
+    if (static_insts > static_cast<double>(kMaxStaticInsts))
+        return "num_blocks " + std::to_string(num_blocks) +
+               " / frac_branch " + numberToText(frac_branch) + " = " +
+               numberToText(static_insts) +
+               " static instructions, above the " +
+               std::to_string(kMaxStaticInsts) + " limit";
     if (working_set < 4096)
         return "working_set " + std::to_string(working_set) +
                " below one 4096-byte page";

@@ -19,6 +19,7 @@
 #ifndef LSIM_TRACE_PROFILE_HH
 #define LSIM_TRACE_PROFILE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,13 @@
 
 namespace lsim::trace
 {
+
+/**
+ * Largest static program a profile may describe, in instructions
+ * (num_blocks / frac_branch): 2^22, 84 times gcc's. The generator
+ * builds the whole program before the first cycle.
+ */
+inline constexpr std::uint64_t kMaxStaticInsts = std::uint64_t{1} << 22;
 
 /** Tunable description of one synthetic benchmark. */
 struct WorkloadProfile

@@ -255,10 +255,10 @@ TEST(Core, ConfigValidation)
     bad.num_int_fus = 9;
     EXPECT_EQ(message(bad), "CoreConfig: integer FU count 9 outside [1,8]");
     CoreConfig bad2;
-    bad2.int_phys_regs = 16;
+    bad2.int_phys_regs = 32;
     EXPECT_EQ(message(bad2),
-              "CoreConfig: need at least 32 physical registers per "
-              "file (architectural state)");
+              "CoreConfig: need more than 32 physical registers per "
+              "file (32 hold the architectural state)");
     CoreConfig bad3;
     bad3.rob_entries = 0;
     EXPECT_EQ(message(bad3), "CoreConfig: zero queue capacity");
@@ -277,6 +277,10 @@ TEST(Core, ConfigValidateThrowsForEveryBadParameter)
     expectRejected([](CoreConfig &c) { c.fetch_queue_entries = 0; });
     expectRejected([](CoreConfig &c) { c.fp_iq_entries = 0; });
     expectRejected([](CoreConfig &c) { c.fp_phys_regs = 31; });
+    // 32 registers hold only the architectural state: rename would
+    // start with an empty free list.
+    expectRejected([](CoreConfig &c) { c.int_phys_regs = 32; });
+    expectRejected([](CoreConfig &c) { c.fp_phys_regs = 32; });
     expectRejected([](CoreConfig &c) { c.num_int_fus = 9; });
     expectRejected([](CoreConfig &c) { c.num_fp_fus = 0; });
     expectRejected([](CoreConfig &c) { c.dcache_ports = 0; });

@@ -105,4 +105,24 @@ TEST(ProfilesReject, ValidationCatchesBadMemoryFractions)
     expectRejects([&] { p.validate(); }, "memory site fractions");
 }
 
+TEST(ProfilesReject, ValidationBoundsTheStaticProgram)
+{
+    // The generator builds num_blocks / frac_branch static
+    // instructions before the first cycle: an oversized profile must
+    // be refused, not fail allocating.
+    WorkloadProfile p = profileByName("gcc");
+    p.num_blocks = 4000000000u;
+    expectRejects([&] { p.validate(); }, "num_blocks 4000000000");
+    expectRejects([&] { p.validate(); }, "frac_branch 0.18");
+
+    // The bound is 2^22 static instructions, inclusive.
+    p.frac_branch = 0.25;
+    p.num_blocks = 1u << 20;
+    EXPECT_EQ(p.validationError(), "");
+    p.num_blocks += 1;
+    EXPECT_NE(p.validationError().find("above the 4194304 limit"),
+              std::string::npos)
+        << p.validationError();
+}
+
 } // namespace

@@ -110,6 +110,8 @@ TEST(ProfileJson, RejectsOutOfRangeValuesNamingTheField)
     expectRejects(R"({"name": "x", "num_blocks": 2})",
                   "num_blocks");
     expectRejects(R"({"name": "x", "paper_fus": 9})", "paper_fus");
+    expectRejects(R"({"name": "x", "num_blocks": 4000000000})",
+                  "num_blocks 4000000000 / frac_branch");
 }
 
 TEST(ProfileJson, RejectsFractionSumsOverOne)

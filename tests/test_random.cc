@@ -14,6 +14,7 @@
 namespace
 {
 
+using lsim::GeometricSampler;
 using lsim::Rng;
 
 TEST(Rng, Deterministic)
@@ -89,18 +90,19 @@ TEST(Rng, ChanceExtremes)
     }
 }
 
-class RngGeometricTest : public ::testing::TestWithParam<double>
+class GeometricSamplerTest : public ::testing::TestWithParam<double>
 {
 };
 
-TEST_P(RngGeometricTest, MeanMatchesTheory)
+TEST_P(GeometricSamplerTest, MeanMatchesTheory)
 {
     const double p = GetParam();
+    const GeometricSampler geo(p);
     Rng r(23);
     double sum = 0.0;
     const int n = 200000;
     for (int i = 0; i < n; ++i) {
-        const auto v = r.geometric(p);
+        const auto v = geo.draw(r);
         ASSERT_GE(v, 1u);
         sum += static_cast<double>(v);
     }
@@ -108,14 +110,41 @@ TEST_P(RngGeometricTest, MeanMatchesTheory)
     EXPECT_NEAR(sum / n, 1.0 / p, 0.05 / p);
 }
 
-INSTANTIATE_TEST_SUITE_P(Probs, RngGeometricTest,
+INSTANTIATE_TEST_SUITE_P(Probs, GeometricSamplerTest,
                          ::testing::Values(0.1, 0.25, 0.5, 0.9));
 
-TEST(Rng, GeometricEdgeProbabilities)
+/** The inversion formula, with log1p(-p) recomputed on every draw. */
+std::uint64_t
+referenceGeometric(Rng &r, double p)
 {
-    Rng r(29);
-    EXPECT_EQ(r.geometric(1.0), 1u);
-    EXPECT_EQ(r.geometric(1.5), 1u);
+    const double val =
+        std::ceil(std::log(1.0 - r.uniform()) / std::log1p(-p));
+    return val < 1.0 ? 1 : static_cast<std::uint64_t>(val);
+}
+
+TEST(GeometricSampler, MatchesThePerDrawFormulaBitForBit)
+{
+    for (const double p : {1e-9, 0.01, 0.13, 0.5, 0.999999}) {
+        const GeometricSampler geo(p);
+        Rng sampled(31), reference(31);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(geo.draw(sampled), referenceGeometric(reference, p))
+                << "p=" << p << " draw " << i;
+        // Both generators consumed the same randomness.
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(sampled.next(), reference.next()) << "p=" << p;
+    }
+}
+
+TEST(GeometricSampler, EdgeProbabilitiesReturnOneAndDrawNothing)
+{
+    for (const double p : {0.0, -0.5, 1.0, 1.5}) {
+        const GeometricSampler geo(p);
+        Rng drawn(29), untouched(29);
+        for (int i = 0; i < 100; ++i)
+            EXPECT_EQ(geo.draw(drawn), 1u) << "p=" << p;
+        EXPECT_EQ(drawn.next(), untouched.next()) << "p=" << p;
+    }
 }
 
 } // namespace

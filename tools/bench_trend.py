@@ -17,8 +17,9 @@ latencies (lower is better) — so a ratio below 1 always reads
 drops below R. Serve warm latency is additionally guarded by
 --warm-ms-ceiling: the relative gate only fires when the absolute
 latency also exceeds the ceiling, so CI-runner noise on a
-sub-millisecond path cannot flake the job. O3 core throughput (the
-"core" block, Minst/s per benchmark), sweep render time (the
+sub-millisecond path cannot flake the job. O3 core throughput and
+static program build time (the "core" block, Minst/s and ms per
+benchmark), sweep render time (the
 "render" block, ms per CSV and JSON render, and ns per number
 formatted) and the Adaptive kernel
 per vector width (the "adaptive_widths" block, ms and million
@@ -99,6 +100,10 @@ def metrics(doc):
         for entry in core.get("benchmarks", []):
             out[(entry["name"], "core_minst_per_s")] = \
                 entry.get("minst_per_s")
+            # Static program build time per benchmark, ms (lower is
+            # better). Report-only, like the throughput.
+            out[(entry["name"], "core_build_ms")] = \
+                entry.get("build_ms")
     render = doc.get("render")
     if render:
         # Serial sweep render time, ms (lower is better).
@@ -136,7 +141,7 @@ GATED = (("8pt", "speedup"), ("20pt", "speedup"),
 LOWER_IS_BETTER = frozenset({"warm_request_ms", "cold_request_ms",
                              "socket_warm_request_ms", "csv_ms",
                              "json_ms", "ns_per_number",
-                             "adaptive_ms"})
+                             "adaptive_ms", "core_build_ms"})
 
 
 def quality_ratio(key, first, last):
@@ -281,6 +286,8 @@ def render_html(records, out_path):
                   series_for("threaded_speedup"), x_labels),
         svg_chart("O3 core throughput", " Minst/s",
                   series_for("core_minst_per_s"), x_labels),
+        svg_chart("Static program build time", " ms",
+                  series_for("core_build_ms"), x_labels),
         svg_chart("Sweep render time", " ms",
                   [(name, [snap.get(("render", name))
                            for _, snap in records])
@@ -315,9 +322,9 @@ def render_html(records, out_path):
 <h1>lsim replay perf trend</h1>
 <p>{len(records)} record(s), oldest first:
 {html.escape(x_labels[0])} &rarr; {html.escape(x_labels[-1])}.
-Speedups and core throughput: higher is better. Latency, render
-time, number format time and Adaptive kernel time: lower is
-better.</p>
+Speedups and core throughput: higher is better. Latency, program
+build time, render time, number format time and Adaptive kernel
+time: lower is better.</p>
 {body}
 </body>
 </html>
