@@ -19,11 +19,13 @@
  *     trajectory gate (tools/bench_trend.py); a second row replays
  *     `adaptive` alone (its stateful lane kernel) and is reported,
  *     not gated.
- *  3. Sharded/threaded — the chunk-sharded engine on an interval
- *     multiset above the auto-shard threshold, replayed serially
- *     and at 4/8 threads on a running ThreadPool, as the serve
- *     daemon replays. CI gates the best multi-thread speedup with
- *     --min-threaded-speedup.
+ *  3. Pooled replay — api::detail::ReplayDriver replaying the render
+ *     dimension's warm_grid-shaped sweep (nine Table 3 profiles x 34
+ *     points x seven policies, one task per workload's kernel group)
+ *     at 1, 2 and 4 threads on a running ThreadPool, as the serve
+ *     daemon replays. Each row's cells must equal the 1-thread
+ *     row's bit for bit before it posts a time. CI gates the best
+ *     multi-thread speedup with --min-threaded-speedup.
  *  4. Spool daemon — end-to-end `lsim serve` request latency
  *     through a temp spool: cold (first request simulates) vs warm
  *     (shared store + persistent pool, pure replay), plus the warm
@@ -63,9 +65,8 @@
  *
  * Single-thread dimensions are timed on one thread so ratios measure
  * the algorithmic win, not pool scheduling. Before timing, engine
- * results are checked against the scalar path (bit-exact for
- * unchunked runs, 1e-12 relative for the chunked configuration), so
- * a broken engine can never post a winning number.
+ * results are checked against the scalar path bit for bit, so a
+ * broken engine can never post a winning number.
  *
  * Arguments:
  *   insts=<n>                committed instructions per workload
@@ -75,19 +76,20 @@
  *   --min-speedup <x>        exit 1 if the reference-grid
  *                            engine-vs-scalar speedup is below <x>
  *                            (default 0 = report only)
- *   --min-threaded-speedup <x> exit 1 if the best sharded
+ *   --min-threaded-speedup <x> exit 1 if the best pooled
  *                            multi-thread speedup is below <x>
  */
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -120,13 +122,8 @@ using namespace lsim;
 constexpr const char *kWorkloads[] = {"gcc", "mcf", "vortex", "mst"};
 constexpr std::size_t kReferencePoints = 20;
 
-/** Distinct interval lengths in the dense grid (kept below the
- * auto-shard threshold: single chunk, bit-exact). */
+/** Distinct interval lengths in the dense grid. */
 constexpr std::size_t kDenseDistinct = 3500;
-
-/** Distinct lengths in the sharded/threaded grid (above the
- * auto-shard threshold, so chunking engages as in production). */
-constexpr std::size_t kShardedDistinct = 24'000;
 
 /** Wall time of @p iters back-to-back calls of @p fn, in ms. */
 template <typename Fn>
@@ -223,12 +220,12 @@ struct GridResult
     }
 };
 
-/** One sharded measurement at a thread count. */
+/** One pooled replay measurement at a thread count. */
 struct ThreadedResult
 {
     unsigned threads = 0;
     double ms = 0.0;
-    double speedup = 0.0; ///< vs the 1-thread sharded run
+    double speedup = 0.0; ///< vs the 1-thread row
 };
 
 bool
@@ -239,24 +236,13 @@ sameResults(const std::vector<sleep::PolicyResult> &a,
         return false;
     for (std::size_t i = 0; i < a.size(); ++i)
         if (a[i].name != b[i].name || a[i].energy != b[i].energy ||
-            a[i].relative_to_base != b[i].relative_to_base)
+            a[i].relative_to_base != b[i].relative_to_base ||
+            a[i].leakage_fraction != b[i].leakage_fraction ||
+            a[i].counts.active != b[i].counts.active ||
+            a[i].counts.unctrl_idle != b[i].counts.unctrl_idle ||
+            a[i].counts.sleep != b[i].counts.sleep ||
+            a[i].counts.transitions != b[i].counts.transitions)
             return false;
-    return true;
-}
-
-bool
-nearResults(const std::vector<sleep::PolicyResult> &a,
-            const std::vector<sleep::PolicyResult> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double scale = std::max(
-            {1.0, std::abs(a[i].energy), std::abs(b[i].energy)});
-        if (a[i].name != b[i].name ||
-            std::abs(a[i].energy - b[i].energy) > 1e-12 * scale)
-            return false;
-    }
     return true;
 }
 
@@ -375,64 +361,6 @@ measureDense(const harness::IdleProfile &idle,
             (void)engine.finalize();
         });
     return grid;
-}
-
-/**
- * The sharded/threaded configuration: chunked replay on a ThreadPool
- * of threads - 1 workers plus the calling thread, built outside the
- * timed region (the daemon's pool is running before a request
- * arrives, so thread spawn is not part of what sharding buys). The
- * 1-thread row is the serial engine.
- */
-std::vector<ThreadedResult>
-measureThreaded(const harness::IdleProfile &idle)
-{
-    const auto points = api::pSweep(
-        0.05, 1.0, static_cast<unsigned>(kReferencePoints));
-    const auto &keys = sleep::PolicyRegistry::paperSpecs();
-    const auto set = replay::IntervalSet::fromProfile(idle);
-
-    // Chunked results must agree with the unchunked engine to 1e-12
-    // before the sharded configuration may post a time.
-    {
-        replay::ReplayOptions unchunked;
-        unchunked.chunk_intervals = set.numDistinct();
-        replay::MultiPointReplay ref(set, points, keys, unchunked);
-        ref.runAll();
-        const auto ref_results = ref.finalize();
-
-        replay::MultiPointReplay chunked(set, points, keys);
-        if (chunked.numChunks() < 2)
-            fatal("sharded grid did not auto-shard (%zu distinct)",
-                  set.numDistinct());
-        chunked.runAll();
-        const auto chunk_results = chunked.finalize();
-        for (std::size_t t = 0; t < points.size(); ++t)
-            if (!nearResults(chunk_results[t], ref_results[t]))
-                fatal("chunked/unchunked mismatch at p=%g",
-                      points[t].p);
-    }
-
-    std::vector<ThreadedResult> results;
-    for (unsigned threads : {1u, 4u, 8u}) {
-        ThreadedResult r;
-        r.threads = threads;
-        std::optional<api::detail::ThreadPool> pool;
-        if (threads > 1)
-            pool.emplace(threads - 1);
-        r.ms = timeMs([&] {
-            replay::MultiPointReplay engine(set, points, keys);
-            if (pool)
-                pool->run(engine.numTasks(),
-                          [&](std::size_t i) { engine.runTask(i); });
-            else
-                engine.runAll();
-            (void)engine.finalize();
-        });
-        r.speedup = results.empty() ? 1.0 : results[0].ms / r.ms;
-        results.push_back(r);
-    }
-    return results;
 }
 
 /** Spool-daemon request latency: cold (first request simulates)
@@ -615,6 +543,60 @@ warmGridSweep(std::uint64_t insts, std::uint64_t seed)
     return api::SweepRunner(cfg).run();
 }
 
+/** Thread counts of the pooled replay rows (dimension 3). */
+constexpr unsigned kThreadCounts[] = {1, 2, 4};
+
+/**
+ * The pooled replay rows (see the file comment, dimension 3):
+ * @p sweep's cells replayed from engine build to finalize by
+ * api::detail::ReplayDriver on a ThreadPool of threads - 1 workers
+ * plus the calling thread. The pools are built outside the timed
+ * region, as the daemon's pool is running before a request arrives.
+ * After one calibration batch each, the rows take kPairBatches
+ * batches in turn, as in timePairMs, and each posts its median.
+ */
+std::vector<ThreadedResult>
+measureThreaded(const api::SweepResult &sweep)
+{
+    constexpr std::size_t kRows = std::size(kThreadCounts);
+    std::optional<api::detail::ThreadPool> pools[kRows];
+    std::vector<api::SweepResult> replayed(kRows, sweep);
+    std::vector<std::function<void()>> replay;
+    std::vector<std::size_t> iters;
+    for (std::size_t r = 0; r < kRows; ++r) {
+        const unsigned threads = kThreadCounts[r];
+        if (threads > 1)
+            pools[r].emplace(threads - 1);
+        replay.push_back([&, r, threads] {
+            api::detail::ReplayDriver driver;
+            driver.add(replayed[r]);
+            driver.run(threads, pools[r] ? &*pools[r] : nullptr);
+        });
+        replay[r]();
+        const auto &cells = replayed[r].cells;
+        for (std::size_t c = 0; c < cells.size(); ++c)
+            if (!sameResults(cells[c].policies,
+                             replayed[0].cells[c].policies))
+                fatal("pooled replay: cell %zu differs at %u threads "
+                      "from 1 thread",
+                      c, threads);
+        iters.push_back(calibrate(replay[r]).iters);
+    }
+    std::vector<std::vector<double>> ms(kRows);
+    for (int b = 0; b < kPairBatches; ++b)
+        for (std::size_t r = 0; r < kRows; ++r)
+            ms[r].push_back(batchMs(replay[r], iters[r]) /
+                            static_cast<double>(iters[r]));
+    std::vector<ThreadedResult> results;
+    for (std::size_t r = 0; r < kRows; ++r) {
+        const double row_ms = median(ms[r]);
+        results.push_back({kThreadCounts[r], row_ms,
+                           results.empty() ? 1.0
+                                           : results[0].ms / row_ms});
+    }
+    return results;
+}
+
 /**
  * Append the number tokens of @p text to @p out: the runs between
  * @p separators, outside double quotes, that parse whole as a
@@ -755,9 +737,7 @@ measureAdaptiveWidths(const api::SweepResult &sweep)
             for (const auto &set : sets) {
                 kernels::AccumulatorBank bank;
                 bank.resize(batch.lanes());
-                kernels::detail::runAtWidth(batch, width, set, 0,
-                                            set.numDistinct(), true,
-                                            bank);
+                kernels::detail::runAtWidth(batch, width, set, bank);
                 banks.push_back(bankValues(bank));
             }
             ms.push_back(std::chrono::duration<double, std::milli>(
@@ -832,11 +812,11 @@ main(int argc, char **argv)
         measureDense(dense_idle, sleep::PolicyRegistry::paperSpecs());
     const GridResult dense_adaptive =
         measureDense(dense_idle, {"adaptive"});
-    const std::vector<ThreadedResult> threaded =
-        measureThreaded(syntheticProfile(kShardedDistinct));
     const ServeResult served = measureServe(opts.insts, opts.seed);
     const std::vector<CoreResult> core = measureCore(opts.seed);
     const api::SweepResult grid_sweep = warmGridSweep(opts.insts, opts.seed);
+    const std::vector<ThreadedResult> threaded =
+        measureThreaded(grid_sweep);
     const RenderResult render = measureRender(grid_sweep);
     const std::vector<WidthResult> widths =
         measureAdaptiveWidths(grid_sweep);
@@ -862,13 +842,14 @@ main(int argc, char **argv)
     addRow("dense adaptive", dense_adaptive);
     table.print(std::cout);
 
-    Table tthr({"threads", "sharded (ms)", "speedup"});
+    Table tthr({"threads", "replay (ms)", "speedup"});
     for (const auto &t : threaded)
         tthr.addRow({std::to_string(t.threads), fixed(t.ms, 3),
                      fixed(t.speedup, 2)});
-    std::cout << "\nSharded grid (" << kShardedDistinct
-              << " distinct intervals x " << kReferencePoints
-              << " points):\n";
+    std::cout << "\nPooled replay (ReplayDriver, 9 benchmarks x "
+              << grid_sweep.technologies.size()
+              << " points x 7 policies, median of " << kPairBatches
+              << " batches):\n";
     tthr.print(std::cout);
 
     std::cout << "\nSpool daemon (" << served.points
@@ -969,8 +950,6 @@ main(int argc, char **argv)
             w.beginObject();
             w.field("threads",
                     static_cast<std::uint64_t>(t.threads));
-            w.field("distinct_intervals",
-                    static_cast<std::uint64_t>(kShardedDistinct));
             w.field("ms", t.ms);
             w.field("speedup", t.speedup);
             w.endObject();
@@ -1054,7 +1033,7 @@ main(int argc, char **argv)
     }
     if (min_threaded_speedup > 0.0 &&
         best_threaded < min_threaded_speedup) {
-        std::cerr << "bench_replay_perf: best sharded speedup "
+        std::cerr << "bench_replay_perf: best pooled speedup "
                   << fixed(best_threaded, 2) << "x below the "
                   << fixed(min_threaded_speedup, 2) << "x gate\n";
         rc = 1;

@@ -45,7 +45,6 @@ batchFingerprint(const BatchConfig &config)
         h.addU64(sweep.seed);
         h.addU32(sweep.fus);
         store::hashCoreConfig(h, sweep.base);
-        h.addU64(sweep.chunk_intervals);
     }
     return h.hex();
 }
@@ -290,12 +289,11 @@ detail::runSweeps(std::span<const SweepRunner> runners,
     }
 
     // Phase 2: the shared driver flattens every request's replay
-    // grid into one task list — multi-point engine jobs per
-    // (workload, chunk) — so a small sweep's cells never wait on a
-    // big sweep's phase.
+    // grid into one task list — one per (workload, kernel group) —
+    // so a small sweep's cells never wait on a big sweep's phase.
     detail::ReplayDriver driver;
-    for (std::size_t s = 0; s < result.sweeps.size(); ++s)
-        driver.add(result.sweeps[s], runners[s].config());
+    for (SweepResult &sweep : result.sweeps)
+        driver.add(sweep);
     {
         obs::TraceSpan span("batch.phase2_replay", "batch");
         obs::ScopedTimerMs timer(

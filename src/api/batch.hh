@@ -127,9 +127,9 @@ struct BatchEnv
  * everything that determines the batch's *results* — per sweep, the
  * workload names, policy specs, technology grid, inline profiles
  * (full parameter sets, hashed like SimKey), import paths, insts,
- * seed, FU count, base core config, and the phase-2 replay knobs —
- * in sweep order. Execution parameters (cache_dir, threads) are
- * excluded: they change how a batch runs, never what it produces.
+ * seed, FU count and base core config — in sweep order. Execution
+ * parameters (cache_dir, threads) are excluded: they change how a
+ * batch runs, never what it produces.
  * Two requests agreeing on this fingerprint are guaranteed
  * byte-identical CSV/JSON output, so the serve tier collapses them
  * to one execution (phase-1 dedup lifted to the request tier).

@@ -157,8 +157,8 @@ std::vector<sleep::PolicyResult>
 Session::policiesAt(const energy::ModelParams &params) const
 {
     // Single-point replay still goes through the engine so every
-    // facade evaluation exercises the same code path; with one point
-    // and one chunk it performs the scalar call sequence exactly.
+    // facade evaluation exercises the same code path; it performs
+    // the scalar call sequence exactly.
     return replay::replayProfile(sim_.idle, {params},
                                  policy_keys_)
         .front();

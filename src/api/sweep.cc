@@ -173,7 +173,6 @@ struct detail::ReplayDriver::EngineJob
 {
     SweepResult *result;
     std::size_t workload;
-    std::size_t chunk_intervals;
     std::optional<replay::MultiPointReplay> engine;
 };
 
@@ -181,12 +180,10 @@ detail::ReplayDriver::ReplayDriver() = default;
 detail::ReplayDriver::~ReplayDriver() = default;
 
 void
-detail::ReplayDriver::add(SweepResult &result,
-                          const SweepConfig &config)
+detail::ReplayDriver::add(SweepResult &result)
 {
     for (std::size_t w = 0; w < result.workloads.size(); ++w)
-        jobs_.push_back(
-            {&result, w, config.chunk_intervals, std::nullopt});
+        jobs_.push_back({&result, w, std::nullopt});
 }
 
 void
@@ -218,13 +215,10 @@ detail::ReplayDriver::run(unsigned threads, ThreadPool *pool,
             if (cancelled())
                 return;
             EngineJob &job = jobs_[j];
-            replay::ReplayOptions options;
-            options.chunk_intervals = job.chunk_intervals;
             job.engine.emplace(
                 replay::IntervalSet::fromProfile(
                     job.result->sims[job.workload].idle),
-                job.result->technologies, job.result->policy_keys,
-                options);
+                job.result->technologies, job.result->policy_keys);
         });
     }
     throwIfCancelled();
@@ -236,7 +230,7 @@ detail::ReplayDriver::run(unsigned threads, ThreadPool *pool,
         std::uint64_t kernel = 0, groups = 0;
         for (const auto &job : jobs_) {
             kernel += job.engine->numKernelUnits();
-            groups += job.engine->numKernelGroups();
+            groups += job.engine->numTasks();
         }
         obs::counter("replay.kernel_units").add(kernel);
         obs::counter("replay.kernel_groups").add(groups);
@@ -244,9 +238,9 @@ detail::ReplayDriver::run(unsigned threads, ThreadPool *pool,
             .add(static_cast<std::uint64_t>(jobs_.size()));
     }
 
-    // One flat list over every registered result's (workload, chunk)
-    // tasks, so a small sweep's work never waits on a big sweep's
-    // phase, and one long simulation spreads across workers.
+    // One flat list over every registered result's (workload, kernel
+    // group) tasks, so a small sweep's work never waits on a big
+    // sweep's phase, and one workload's groups spread across workers.
     struct Piece
     {
         std::size_t job;  ///< index into jobs_
@@ -269,7 +263,7 @@ detail::ReplayDriver::run(unsigned threads, ThreadPool *pool,
     }
     throwIfCancelled();
 
-    // Merge + scatter into cells; independent per job.
+    // Gather + scatter into cells; independent per job.
     obs::TraceSpan span("replay.finalize", "replay");
     obs::ScopedTimerMs timer(obs::histogram("replay.finalize_ms"));
     runOn(pool, jobs_.size(), threads, [&](std::size_t j) {
@@ -364,6 +358,10 @@ SweepRunner::SweepRunner(SweepConfig config)
     if (config_.technologies.empty())
         throw std::invalid_argument(
             "SweepRunner: no technology points (see pSweep())");
+    if (config_.chunk_intervals != 0)
+        throw std::invalid_argument(
+            "SweepRunner: chunk_intervals must be 0; an interval "
+            "stream is no longer sharded into chunks");
 
     // Fail fast, before any worker starts: on unknown names, on a
     // core config invalid at an FU count phase 1 will simulate, and

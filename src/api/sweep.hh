@@ -110,13 +110,7 @@ struct SweepConfig
      */
     std::string cache_dir;
 
-    /**
-     * Phase-2 shard size: maximum distinct idle-interval lengths per
-     * replay chunk (see replay::ReplayOptions). 0 = auto — a single
-     * chunk for typical workloads (bit-identical to
-     * api::evaluateProfile), sharded only for very long simulations
-     * whose interval sets pass the auto threshold.
-     */
+    /// Must be 0; kept for perfbench/replica.cc (ROADMAP item 3).
     std::size_t chunk_intervals = 0;
 };
 
@@ -218,12 +212,13 @@ struct SimTask
  * Shared phase-2 executor: fills the cells of every registered
  * SweepResult by fanning replay work across one thread pool. The
  * unit of parallelism is finer than a cell — one task per
- * (workload, interval chunk) on the multi-point engine — so a
- * single very long simulation still spreads across workers.
+ * (workload, kernel group) on the multi-point engine, each over the
+ * workload's whole interval stream — so a one-workload sweep still
+ * spreads across workers.
  *
- * Usage: add() every (result, config) pair — cells resized and sims
- * filled — then run() once. Results are deterministic for any
- * thread count.
+ * Usage: add() every result — cells resized and sims filled — then
+ * run() once. Results are bit-identical to api::evaluateProfile for
+ * any thread count.
  */
 class ReplayDriver
 {
@@ -231,9 +226,9 @@ class ReplayDriver
     ReplayDriver();
     ~ReplayDriver(); ///< out of line: EngineJob is incomplete here
 
-    /** Register @p result for phase 2 under @p config's replay
-     * settings. The result's sims must already be populated. */
-    void add(SweepResult &result, const SweepConfig &config);
+    /** Register @p result for phase 2. The result's sims must
+     * already be populated. */
+    void add(SweepResult &result);
 
     /** Execute all registered phase-2 work; call once. A non-null
      * @p pool runs the fan-out on that persistent pool instead of

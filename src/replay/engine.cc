@@ -1,76 +1,13 @@
 #include "replay/engine.hh"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "common/stats.hh"
 #include "sleep/controllers.hh"
 #include "sleep/policy_registry.hh"
 
 namespace lsim::replay
 {
-
-namespace
-{
-
-/** Clamp matching the Log2Histogram default the profiles use. */
-constexpr Cycle kBucketClamp = 8192;
-
-/**
- * Chunk boundaries over the sorted distinct-length array: contiguous
- * ranges of at most @p max_per_chunk lengths, snapped to
- * Log2Histogram bucket edges where possible (a bucket bigger than
- * the chunk size is split plainly). Always yields at least one
- * chunk, even for an empty set — no divisions are involved, so
- * empty-histogram cells cannot divide by zero here.
- */
-std::vector<std::size_t>
-chunkBounds(const IntervalSet &intervals, std::size_t max_per_chunk)
-{
-    const std::size_t n = intervals.numDistinct();
-    std::vector<std::size_t> bounds{0};
-    if (max_per_chunk == 0 || max_per_chunk >= n) {
-        bounds.push_back(n);
-        return bounds;
-    }
-
-    // Bucket edges: indices where floorLog2(min(len, clamp)) steps.
-    std::vector<std::size_t> edges;
-    int last_bucket = -1;
-    for (std::size_t i = 0; i < n; ++i) {
-        const int b = stats::floorLog2(
-            std::min(intervals.lengths[i], kBucketClamp));
-        if (b != last_bucket) {
-            edges.push_back(i);
-            last_bucket = b;
-        }
-    }
-    edges.push_back(n);
-
-    std::size_t start = 0;
-    for (std::size_t e = 1; e < edges.size(); ++e) {
-        const std::size_t bucket_begin = edges[e - 1];
-        const std::size_t bucket_end = edges[e];
-        if (bucket_end - start <= max_per_chunk)
-            continue; // bucket still fits in the open chunk
-        // Close the open chunk at the bucket edge when it is
-        // non-empty, then split any oversized bucket plainly.
-        if (bucket_begin > start) {
-            bounds.push_back(bucket_begin);
-            start = bucket_begin;
-        }
-        while (bucket_end - start > max_per_chunk) {
-            start += max_per_chunk;
-            bounds.push_back(start);
-        }
-    }
-    if (bounds.back() != n)
-        bounds.push_back(n);
-    return bounds;
-}
-
-} // namespace
 
 IntervalSet
 IntervalSet::fromProfile(const harness::IdleProfile &idle)
@@ -99,6 +36,11 @@ MultiPointReplay::MultiPointReplay(
                        ? sleep::PolicyRegistry::paperSpecs()
                        : std::move(policy_keys))
 {
+    if (options.chunk_intervals != 0)
+        throw std::invalid_argument(
+            "MultiPointReplay: chunk_intervals must be 0; an interval "
+            "stream is no longer sharded into chunks");
+
     const std::size_t num_policies = policy_keys_.size();
     unit_of_.resize(points_.size() * num_policies);
 
@@ -131,23 +73,12 @@ MultiPointReplay::MultiPointReplay(
         }
     }
 
-    std::size_t chunk_intervals = options.chunk_intervals;
-    if (chunk_intervals == 0)
-        chunk_intervals =
-            intervals_.numDistinct() >=
-                    ReplayOptions::auto_shard_threshold
-                ? ReplayOptions::auto_chunk_intervals
-                : intervals_.numDistinct();
-    chunk_bounds_ = chunkBounds(intervals_, chunk_intervals);
-    num_chunks_ = chunk_bounds_.size() - 1;
-
     // Gather units into one batch per policy kind — one SoA lane per
     // deduplicated configuration, so a single pass over the interval
     // arrays fills every technology point's accumulator for that
-    // policy. Adaptive lanes each walk the whole stream and never
-    // shard, so they batch one kernel block per group, and so per
-    // task: a one-workload sweep spreads its lanes over the pool, and
-    // only its last group holds a partial block (34 points make 3
+    // policy. Adaptive lanes batch one kernel block per group, and so
+    // per task: a one-workload sweep spreads its lanes over the pool,
+    // and only its last group holds a partial block (34 points make 3
     // groups of up to 16 at 512 bits).
     const std::size_t adaptive_lanes = kernels::adaptiveBlockLanes();
     for (std::size_t u = 0; u < units_.size(); ++u) {
@@ -159,29 +90,14 @@ MultiPointReplay::MultiPointReplay(
                 group = &g;
         if (!group) {
             groups_.push_back(
-                KernelGroup{kernels::KernelBatch(spec.kind), {}, {}, {}});
+                KernelGroup{kernels::KernelBatch(spec.kind), {}, {}});
             group = &groups_.back();
         }
         group->batch.addLane(spec);
         group->units.push_back(u);
     }
-
-    // Schedulable tasks: one per (group, chunk) for history-free
-    // groups, and one whole-stream task for every Adaptive group.
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-        const std::size_t first_unit = groups_[g].units.front();
-        if (num_chunks_ > 1 && units_[first_unit].spec.historyFree()) {
-            groups_[g].partial_banks.resize(num_chunks_);
-            for (std::size_t c = 0; c < num_chunks_; ++c) {
-                groups_[g].partial_banks[c].resize(
-                    groups_[g].batch.lanes());
-                tasks_.push_back({g, c});
-            }
-        } else {
-            groups_[g].bank.resize(groups_[g].batch.lanes());
-            tasks_.push_back({g, Task::npos});
-        }
-    }
+    for (KernelGroup &group : groups_)
+        group.bank.resize(group.batch.lanes());
 }
 
 MultiPointReplay::MultiPointReplay(MultiPointReplay &&other) noexcept
@@ -190,10 +106,8 @@ MultiPointReplay::MultiPointReplay(MultiPointReplay &&other) noexcept
       policy_keys_(std::move(other.policy_keys_)),
       units_(std::move(other.units_)),
       unit_of_(std::move(other.unit_of_)),
-      groups_(std::move(other.groups_)),
-      chunk_bounds_(std::move(other.chunk_bounds_)),
-      num_chunks_(other.num_chunks_), tasks_(std::move(other.tasks_)),
-      finalized_(other.finalized_), moved_from_(other.moved_from_)
+      groups_(std::move(other.groups_)), finalized_(other.finalized_),
+      moved_from_(other.moved_from_)
 {
     other.moved_from_ = true;
 }
@@ -209,9 +123,6 @@ MultiPointReplay::operator=(MultiPointReplay &&other) noexcept
     units_ = std::move(other.units_);
     unit_of_ = std::move(other.unit_of_);
     groups_ = std::move(other.groups_);
-    chunk_bounds_ = std::move(other.chunk_bounds_);
-    num_chunks_ = other.num_chunks_;
-    tasks_ = std::move(other.tasks_);
     finalized_ = other.finalized_;
     moved_from_ = other.moved_from_;
     other.moved_from_ = true;
@@ -230,25 +141,15 @@ void
 MultiPointReplay::runTask(std::size_t index)
 {
     assertUsable("runTask");
-    const Task task = tasks_.at(index);
-    KernelGroup &group = groups_[task.group];
-    if (task.chunk == Task::npos) {
-        group.batch.run(intervals_, 0, intervals_.numDistinct(), true,
-                        group.bank);
-        return;
-    }
-    // The activeRun prefix belongs to chunk 0 so the merged total
-    // matches the sequential accounting.
-    group.batch.run(intervals_, chunk_bounds_[task.chunk],
-                    chunk_bounds_[task.chunk + 1], task.chunk == 0,
-                    group.partial_banks[task.chunk]);
+    KernelGroup &group = groups_.at(index);
+    group.batch.run(intervals_, group.bank);
 }
 
 void
 MultiPointReplay::runAll()
 {
     assertUsable("runAll");
-    for (std::size_t i = 0; i < tasks_.size(); ++i)
+    for (std::size_t i = 0; i < groups_.size(); ++i)
         runTask(i);
 }
 
@@ -260,21 +161,9 @@ MultiPointReplay::finalize()
         throw std::logic_error("MultiPointReplay::finalize: called twice");
     finalized_ = true;
 
-    // Merge partial banks in chunk order: deterministic for any
-    // thread assignment (though the reduction order differs from the
-    // unsharded sequential accumulation).
-    for (const KernelGroup &group : groups_) {
-        for (std::size_t lane = 0; lane < group.units.size();
-             ++lane) {
-            Unit &unit = units_[group.units[lane]];
-            if (group.partial_banks.empty()) {
-                unit.counts = group.bank.counts(lane);
-                continue;
-            }
-            for (const auto &bank : group.partial_banks)
-                unit.counts += bank.counts(lane);
-        }
-    }
+    for (const KernelGroup &group : groups_)
+        for (std::size_t lane = 0; lane < group.units.size(); ++lane)
+            units_[group.units[lane]].counts = group.bank.counts(lane);
 
     // Per-point results in the exact arithmetic of
     // PolicyEvaluator::results().
@@ -306,11 +195,10 @@ MultiPointReplay::finalize()
 std::vector<std::vector<sleep::PolicyResult>>
 replayProfile(const harness::IdleProfile &idle,
               const std::vector<energy::ModelParams> &points,
-              const std::vector<std::string> &policy_keys,
-              ReplayOptions options)
+              const std::vector<std::string> &policy_keys)
 {
     MultiPointReplay engine(IntervalSet::fromProfile(idle), points,
-                            policy_keys, options);
+                            policy_keys);
     engine.runAll();
     return engine.finalize();
 }

@@ -6,7 +6,7 @@
  * The scalar reference (api::evaluateProfile) walks a workload's
  * interval multiset once per (technology point) cell — O(points x
  * intervals) work for a p-sweep, the hottest loop in the codebase.
- * This engine restructures that replay around four observations:
+ * This engine restructures that replay around three observations:
  *
  *  1. Most policies are *point-invariant*: an AlwaysActive, MaxSleep
  *     or NoOverhead controller accumulates the identical CycleCounts
@@ -37,29 +37,20 @@
  *     exact arithmetic. Adding a policy therefore means four
  *     things: a KernelSpec::Kind, its kernel, its controller (the
  *     scalar reference) and a registry entry.
- *  4. For very long simulations the sorted interval array can be
- *     sharded into chunks aligned to Log2Histogram bucket boundaries;
- *     chunks of history-free units replay into independent partial
- *     kernel banks that are merged in chunk order, so phase 2
- *     parallelizes below cell granularity yet stays deterministic
- *     for any thread count.
  *
- * Equivalence contract: with a single chunk (the default below the
- * auto-shard threshold) every accumulator receives the exact
- * floating-point operation sequence of the scalar path —
+ * Equivalence contract: each task replays one kernel group over the
+ * workload's whole interval stream, so every accumulator receives
+ * the exact floating-point operation sequence of the scalar path —
  * activeRun(active_cycles) then idleRuns(len, count) in ascending
  * length order, which the batch kernels replicate expression for
- * expression — so results are bit-identical to api::evaluateProfile,
- * and no equivalence flag guards the kernel path. With multiple
- * chunks the per-chunk partial sums are merged in chunk order; the
- * reduction order differs, so results agree only to ~1e-12 relative
- * (tested), which is why sharding engages only above the threshold
- * or on request.
+ * expression — and results are bit-identical to
+ * api::evaluateProfile for every input and any thread assignment.
+ * No equivalence flag guards the kernel path.
  *
- * Adaptive is never sharded: a chunk would restart its prediction.
- * Its kernel lanes instead split into groups of one kernel block
- * (4 to 16 lanes, by vector width), one whole-stream task each, so
- * a one-workload sweep still spreads over the pool.
+ * Parallelism comes from the groups: one per history-free kind, and
+ * Adaptive's lanes split into groups of one kernel block (4 to 16
+ * lanes, by vector width), so a one-workload sweep still spreads
+ * over the pool.
  *
  * The stream each unit reads is the interval multiset in ascending
  * length order. A history-free policy needs only the multiset;
@@ -108,22 +99,11 @@ struct IntervalSet
     static IntervalSet fromProfile(const harness::IdleProfile &idle);
 };
 
-/** Tuning knobs for one engine instance. */
+/** Replay takes no options: every task replays a whole stream. */
 struct ReplayOptions
 {
-    /**
-     * Maximum distinct interval lengths per phase-2 chunk. 0 = auto:
-     * a single chunk below auto_shard_threshold distinct lengths
-     * (keeping results bit-identical to the scalar path), chunks of
-     * auto_chunk_intervals above it.
-     */
+    /// Must be 0; kept for perfbench/replica.cc (ROADMAP item 3).
     std::size_t chunk_intervals = 0;
-
-    /** Auto mode shards only above this many distinct lengths. */
-    static constexpr std::size_t auto_shard_threshold = 4096;
-
-    /** Chunk size auto mode uses once it shards. */
-    static constexpr std::size_t auto_chunk_intervals = 1024;
 };
 
 /**
@@ -150,6 +130,8 @@ class MultiPointReplay
      * @param policy_keys PolicyRegistry specs; empty = the paper's
      *        four policies. Throws std::invalid_argument on unknown
      *        or malformed specs (validated here, before any task).
+     * @param options Throws std::invalid_argument on a non-zero
+     *        chunk_intervals.
      */
     MultiPointReplay(IntervalSet intervals,
                      std::vector<energy::ModelParams> points,
@@ -165,12 +147,18 @@ class MultiPointReplay
     MultiPointReplay(MultiPointReplay &&other) noexcept;
     MultiPointReplay &operator=(MultiPointReplay &&other) noexcept;
 
-    /** Independent replay tasks (>= 1 unless there are no points). */
-    std::size_t numTasks() const { return tasks_.size(); }
+    /**
+     * Independent replay tasks, one per batched kernel invocation:
+     * one per history-free kind, and one per group of up to
+     * kernels::adaptiveBlockLanes() Adaptive lanes (>= 1 unless
+     * there are no points).
+     */
+    std::size_t numTasks() const { return groups_.size(); }
 
     /**
-     * Run task @p index. Thread-safe for distinct indices; each task
-     * writes only its own accumulator slot.
+     * Run task @p index: its kernel group over the whole interval
+     * stream. Thread-safe for distinct indices; each task writes
+     * only its own group's accumulators.
      */
     void runTask(std::size_t index);
 
@@ -178,8 +166,8 @@ class MultiPointReplay
     void runAll();
 
     /**
-     * Merge chunk partials and build per-point results, in the exact
-     * arithmetic of PolicyEvaluator::results(). Call once, after
+     * Gather each unit's counts and build per-point results, in the
+     * exact arithmetic of PolicyEvaluator::results(). Call once, after
      * every task has run; a second call throws std::logic_error.
      *
      * @return results[point][policy], policies in policy-key order.
@@ -199,17 +187,9 @@ class MultiPointReplay
      */
     std::size_t numUnits() const { return units_.size(); }
 
-    /** Batched kernel invocations: one per history-free kind, and
-     * one per group of up to kernels::adaptiveBlockLanes() Adaptive
-     * lanes. */
-    std::size_t numKernelGroups() const { return groups_.size(); }
-
     /** Units replayed through batch kernels: every unit, so this
      * equals numUnits(). */
     std::size_t numKernelUnits() const { return units_.size(); }
-
-    /** Chunks the interval stream was sharded into (>= 1). */
-    std::size_t numChunks() const { return num_chunks_; }
 
     const IntervalSet &intervals() const { return intervals_; }
 
@@ -235,18 +215,7 @@ class MultiPointReplay
     {
         kernels::KernelBatch batch;
         std::vector<std::size_t> units; ///< lane -> units_ index
-        kernels::AccumulatorBank bank;  ///< unchunked accumulators
-        /** Per-chunk partial banks (chunk order), when sharded. */
-        std::vector<kernels::AccumulatorBank> partial_banks;
-    };
-
-    /** A schedulable piece: one chunk (or the whole stream) of one
-     * kernel group. chunk == npos spans the full set. */
-    struct Task
-    {
-        std::size_t group = 0;
-        std::size_t chunk = npos;
-        static constexpr std::size_t npos = ~std::size_t{0};
+        kernels::AccumulatorBank bank;
     };
 
     /** Throw std::logic_error when this engine was moved from. */
@@ -260,14 +229,9 @@ class MultiPointReplay
     /** unit_of_[point * numPolicies() + policy] -> units_ index. */
     std::vector<std::size_t> unit_of_;
 
+    /** One per task. */
     std::vector<KernelGroup> groups_;
 
-    /** Chunk boundaries into the interval arrays: chunk c covers
-     * [chunk_bounds_[c], chunk_bounds_[c + 1]). */
-    std::vector<std::size_t> chunk_bounds_;
-    std::size_t num_chunks_ = 1;
-
-    std::vector<Task> tasks_;
     bool finalized_ = false;
     bool moved_from_ = false;
 };
@@ -278,13 +242,12 @@ class MultiPointReplay
  *
  * This is the multi-point counterpart of calling
  * api::evaluateProfile once per point; results are bit-identical to
- * that scalar path (single chunk — see the class contract).
+ * that scalar path (see the class contract).
  */
 std::vector<std::vector<sleep::PolicyResult>>
 replayProfile(const harness::IdleProfile &idle,
               const std::vector<energy::ModelParams> &points,
-              const std::vector<std::string> &policy_keys = {},
-              ReplayOptions options = {});
+              const std::vector<std::string> &policy_keys = {});
 
 } // namespace lsim::replay
 

@@ -93,12 +93,12 @@ namespace
  */
 
 void
-runAlwaysActive(const IntervalSet &set, std::size_t begin,
-                std::size_t end, AccumulatorBank &bank)
+runAlwaysActive(const IntervalSet &set, AccumulatorBank &bank)
 {
     double *__restrict ui = bank.unctrl_idle.data();
     const std::size_t lanes = bank.lanes();
-    for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t end = set.numDistinct();
+    for (std::size_t i = 0; i < end; ++i) {
         // unctrl_idle += double(len) * double(count)
         const double add = static_cast<double>(set.lengths[i]) *
                            static_cast<double>(set.counts[i]);
@@ -108,13 +108,13 @@ runAlwaysActive(const IntervalSet &set, std::size_t begin,
 }
 
 void
-runMaxSleep(const IntervalSet &set, std::size_t begin,
-            std::size_t end, AccumulatorBank &bank)
+runMaxSleep(const IntervalSet &set, AccumulatorBank &bank)
 {
     double *__restrict tr = bank.transitions.data();
     double *__restrict sl = bank.sleep.data();
     const std::size_t lanes = bank.lanes();
-    for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t end = set.numDistinct();
+    for (std::size_t i = 0; i < end; ++i) {
         // transitions += double(count); sleep += len * count
         const double n = static_cast<double>(set.counts[i]);
         const double add = static_cast<double>(set.lengths[i]) *
@@ -127,12 +127,12 @@ runMaxSleep(const IntervalSet &set, std::size_t begin,
 }
 
 void
-runNoOverhead(const IntervalSet &set, std::size_t begin,
-              std::size_t end, AccumulatorBank &bank)
+runNoOverhead(const IntervalSet &set, AccumulatorBank &bank)
 {
     double *__restrict sl = bank.sleep.data();
     const std::size_t lanes = bank.lanes();
-    for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t end = set.numDistinct();
+    for (std::size_t i = 0; i < end; ++i) {
         const double add = static_cast<double>(set.lengths[i]) *
                            static_cast<double>(set.counts[i]);
         for (std::size_t u = 0; u < lanes; ++u)
@@ -144,8 +144,7 @@ void
 runGradual(const std::vector<double> &slices,
            const std::vector<double> &grad_tri,
            const std::vector<double> &grad_ui, double max_n,
-           const IntervalSet &set, std::size_t begin,
-           std::size_t end, AccumulatorBank &bank)
+           const IntervalSet &set, AccumulatorBank &bank)
 {
     const double *__restrict sl = slices.data();
     const double *__restrict tri = grad_tri.data();
@@ -154,14 +153,14 @@ runGradual(const std::vector<double> &slices,
     double *__restrict ui = bank.unctrl_idle.data();
     double *__restrict sp = bank.sleep.data();
     const std::size_t lanes = bank.lanes();
+    const std::size_t end = set.numDistinct();
 
     // Once length >= n for every lane, each run saturates the shift
     // register (m == n): the transition and unctrl_idle terms become
     // lane constants, leaving one division per (interval, lane).
-    // Lengths ascend, so that regime is a suffix of the range.
+    // Lengths ascend, so that regime is a suffix of the stream.
     const std::size_t sat = static_cast<std::size_t>(
-        std::lower_bound(set.lengths.begin() + begin,
-                         set.lengths.begin() + end, max_n,
+        std::lower_bound(set.lengths.begin(), set.lengths.end(), max_n,
                          [](Cycle len, double threshold) {
                              return static_cast<double>(len) <
                                     threshold;
@@ -169,7 +168,7 @@ runGradual(const std::vector<double> &slices,
         set.lengths.begin());
 
     // Mixed regime: the full doIdleRun closed form per lane.
-    for (std::size_t i = begin; i < sat; ++i) {
+    for (std::size_t i = 0; i < sat; ++i) {
         const double length = static_cast<double>(set.lengths[i]);
         const double cnt = static_cast<double>(set.counts[i]);
         // Lane-independent SoA updates: this loop vectorizes across
@@ -225,16 +224,16 @@ runGradual(const std::vector<double> &slices,
 void
 runWeightedGradual(const std::vector<std::vector<double>> &weights,
                    const std::vector<std::vector<double>> &prefixes,
-                   const IntervalSet &set, std::size_t begin,
-                   std::size_t end, AccumulatorBank &bank)
+                   const IntervalSet &set, AccumulatorBank &bank)
 {
+    const std::size_t end = set.numDistinct();
     for (std::size_t u = 0; u < bank.lanes(); ++u) {
         const std::vector<double> &w = weights[u];
         const std::vector<double> &pre = prefixes[u];
         double tr = bank.transitions[u];
         double ui = bank.unctrl_idle[u];
         double sp = bank.sleep[u];
-        for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t i = 0; i < end; ++i) {
             const Cycle len = set.lengths[i];
             const double n = static_cast<double>(set.counts[i]);
             const double length = static_cast<double>(len);
@@ -261,20 +260,21 @@ runWeightedGradual(const std::vector<std::vector<double>> &weights,
 
 void
 runTimeout(const std::vector<Cycle> &timeouts, const IntervalSet &set,
-           std::size_t begin, std::size_t end, AccumulatorBank &bank)
+           AccumulatorBank &bank)
 {
     const auto first = set.lengths.begin();
+    const std::size_t end = set.numDistinct();
     for (std::size_t u = 0; u < bank.lanes(); ++u) {
         const Cycle to = timeouts[u];
         const double wait = static_cast<double>(to);
-        // Lengths ascend, so "len > timeout" splits the range once.
+        // Lengths ascend, so "len > timeout" splits the stream once.
         const std::size_t split = static_cast<std::size_t>(
-            std::upper_bound(first + begin, first + end, to) - first);
+            std::upper_bound(first, set.lengths.end(), to) - first);
         double ui = bank.unctrl_idle[u];
         double tr = bank.transitions[u];
         double sp = bank.sleep[u];
         // len <= timeout: the whole run idles uncontrolled.
-        for (std::size_t i = begin; i < split; ++i)
+        for (std::size_t i = 0; i < split; ++i)
             ui += static_cast<double>(set.lengths[i]) *
                   static_cast<double>(set.counts[i]);
         // len > timeout: wait, one transition, sleep the remainder.
@@ -294,15 +294,15 @@ runTimeout(const std::vector<Cycle> &timeouts, const IntervalSet &set,
 
 void
 runOracle(const std::vector<double> &breakevens,
-          const IntervalSet &set, std::size_t begin, std::size_t end,
-          AccumulatorBank &bank)
+          const IntervalSet &set, AccumulatorBank &bank)
 {
     const auto first = set.lengths.begin();
+    const std::size_t end = set.numDistinct();
     for (std::size_t u = 0; u < bank.lanes(); ++u) {
         const double be = breakevens[u];
         // First length with double(len) >= breakeven (ascending).
         const std::size_t split = static_cast<std::size_t>(
-            std::lower_bound(first + begin, first + end, be,
+            std::lower_bound(first, set.lengths.end(), be,
                              [](Cycle len, double threshold) {
                                  return static_cast<double>(len) <
                                         threshold;
@@ -311,7 +311,7 @@ runOracle(const std::vector<double> &breakevens,
         double ui = bank.unctrl_idle[u];
         double tr = bank.transitions[u];
         double sp = bank.sleep[u];
-        for (std::size_t i = begin; i < split; ++i)
+        for (std::size_t i = 0; i < split; ++i)
             ui += static_cast<double>(set.lengths[i]) *
                   static_cast<double>(set.counts[i]);
         for (std::size_t i = split; i < end; ++i) {
@@ -330,13 +330,11 @@ runOracle(const std::vector<double> &breakevens,
  * time-ordered stream of one run per entry). */
 constexpr std::size_t kAdaptiveTileEntries = 1024;
 
-/** One Adaptive replay: the stream range, and every lane's
- * parameters, running prediction and accumulators. */
+/** One Adaptive replay: the stream, and every lane's parameters,
+ * running prediction and accumulators. */
 struct AdaptiveRun
 {
     const IntervalSet &set;
-    std::size_t begin;
-    std::size_t end;
     const std::vector<double> &breakevens;
     const std::vector<double> &weights;
     std::vector<double> &predicted;
@@ -463,15 +461,16 @@ adaptiveBlock(const AdaptiveRun &run, std::size_t begin,
     storeLanes<Shape>(sp, run.bank.sleep, lane, last);
 }
 
-/** Every tile of the range, every block of lanes, in one shape. */
+/** Every tile of the stream, every block of lanes, in one shape. */
 template <typename Shape>
 [[gnu::always_inline]] inline void
 adaptiveTiles(const AdaptiveRun &run)
 {
-    for (std::size_t tile = run.begin; tile < run.end;
+    const std::size_t end = run.set.numDistinct();
+    for (std::size_t tile = 0; tile < end;
          tile += kAdaptiveTileEntries) {
         const std::size_t tile_end =
-            std::min(run.end, tile + kAdaptiveTileEntries);
+            std::min(end, tile + kAdaptiveTileEntries);
         for (std::size_t u = 0; u < run.bank.lanes(); u += Shape::lanes)
             adaptiveBlock<Shape>(run, tile, tile_end, u);
     }
@@ -588,30 +587,25 @@ void
 runAdaptive(const AdaptiveKernel &kernel,
             const std::vector<double> &breakevens,
             const std::vector<double> &weights, const IntervalSet &set,
-            std::size_t begin, std::size_t end, AccumulatorBank &bank)
+            AccumulatorBank &bank)
 {
     std::vector<double> predicted;
     for (double be : breakevens)
         predicted.push_back(
             sleep::AdaptiveController::initialPrediction(be));
-    kernel.replay(
-        AdaptiveRun{set, begin, end, breakevens, weights, predicted, bank});
+    kernel.replay(AdaptiveRun{set, breakevens, weights, predicted, bank});
 }
 
 } // namespace
 
 void
-KernelBatch::run(const IntervalSet &set, std::size_t begin,
-                 std::size_t end, bool with_active,
-                 AccumulatorBank &bank) const
+KernelBatch::run(const IntervalSet &set, AccumulatorBank &bank) const
 {
-    runAt(adaptiveKernels().back().width, set, begin, end, with_active,
-          bank);
+    runAt(adaptiveKernels().back().width, set, bank);
 }
 
 void
 KernelBatch::runAt(unsigned adaptive_width, const IntervalSet &set,
-                   std::size_t begin, std::size_t end, bool with_active,
                    AccumulatorBank &bank) const
 {
     using Kind = sleep::KernelSpec::Kind;
@@ -622,38 +616,37 @@ KernelBatch::runAt(unsigned adaptive_width, const IntervalSet &set,
     // The scalar call sequence opens with the active total (skipped
     // when zero), exactly like api::evaluateProfile's
     // PolicyEvaluator walk.
-    if (with_active && set.active_cycles > 0) {
+    if (set.active_cycles > 0) {
         const double active = static_cast<double>(set.active_cycles);
         for (std::size_t u = 0; u < lanes_; ++u)
             bank.active[u] += active;
     }
     switch (kind_) {
     case Kind::AlwaysActive:
-        runAlwaysActive(set, begin, end, bank);
+        runAlwaysActive(set, bank);
         return;
     case Kind::MaxSleep:
-        runMaxSleep(set, begin, end, bank);
+        runMaxSleep(set, bank);
         return;
     case Kind::NoOverhead:
-        runNoOverhead(set, begin, end, bank);
+        runNoOverhead(set, bank);
         return;
     case Kind::Gradual:
         runGradual(slices_, grad_tri_, grad_ui_, grad_max_n_, set,
-                   begin, end, bank);
+                   bank);
         return;
     case Kind::WeightedGradual:
-        runWeightedGradual(weight_sets_, prefix_sets_, set, begin,
-                           end, bank);
+        runWeightedGradual(weight_sets_, prefix_sets_, set, bank);
         return;
     case Kind::Timeout:
-        runTimeout(timeouts_, set, begin, end, bank);
+        runTimeout(timeouts_, set, bank);
         return;
     case Kind::Oracle:
-        runOracle(breakevens_, set, begin, end, bank);
+        runOracle(breakevens_, set, bank);
         return;
     case Kind::Adaptive:
         runAdaptive(adaptiveKernelAt(adaptive_width), breakevens_,
-                    ewma_weights_, set, begin, end, bank);
+                    ewma_weights_, set, bank);
         return;
     }
     // Every kind returns above; only a corrupt kind gets here.
@@ -690,10 +683,9 @@ adaptiveBlockLanes(unsigned width)
 
 void
 runAtWidth(const KernelBatch &batch, unsigned width,
-           const IntervalSet &set, std::size_t begin, std::size_t end,
-           bool with_active, AccumulatorBank &bank)
+           const IntervalSet &set, AccumulatorBank &bank)
 {
-    batch.runAt(width, set, begin, end, with_active, bank);
+    batch.runAt(width, set, bank);
 }
 
 } // namespace detail

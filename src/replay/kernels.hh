@@ -48,7 +48,7 @@
  * non-negative total. Kernel results therefore equal the scalar
  * reference (api::evaluateProfile) to the last bit — verified by
  * test_replay_kernels across randomized interval sets — and the
- * engine needs no equivalence flag for the unchunked kernel path.
+ * engine needs no equivalence flag on its kernel path.
  */
 
 #ifndef LSIM_REPLAY_KERNELS_HH
@@ -81,9 +81,7 @@ namespace detail
  * check and time each width.
  */
 void runAtWidth(const KernelBatch &batch, unsigned width,
-                const IntervalSet &set, std::size_t begin,
-                std::size_t end, bool with_active,
-                AccumulatorBank &bank);
+                const IntervalSet &set, AccumulatorBank &bank);
 
 } // namespace detail
 
@@ -130,29 +128,23 @@ class KernelBatch
     std::size_t addLane(const sleep::KernelSpec &spec);
 
     /**
-     * Accumulate interval-array indices [begin, end) of @p set into
-     * @p bank (+= semantics; bank lanes parallel this batch's
-     * lanes), preceded by the activeRun prefix when @p with_active.
-     * Bit-exact to replaying the same range through a fresh
-     * controller of this kind via activeRun()/idleRuns() in array
-     * order — so Adaptive, whose prediction starts fresh here,
-     * matches only a whole-stream replay. Adaptive runs at the last
-     * of detail::adaptiveWidths(). Throws std::invalid_argument when
+     * Accumulate the whole of @p set into @p bank (+= semantics;
+     * bank lanes parallel this batch's lanes): the activeRun prefix,
+     * then every interval in array order. Bit-exact to replaying
+     * @p set through a fresh controller of this kind via
+     * activeRun()/idleRuns(). Adaptive runs at the last of
+     * detail::adaptiveWidths(). Throws std::invalid_argument when
      * @p bank does not have this batch's lane count.
      */
-    void run(const IntervalSet &set, std::size_t begin,
-             std::size_t end, bool with_active,
-             AccumulatorBank &bank) const;
+    void run(const IntervalSet &set, AccumulatorBank &bank) const;
 
   private:
     friend void detail::runAtWidth(const KernelBatch &, unsigned,
-                                   const IntervalSet &, std::size_t,
-                                   std::size_t, bool,
+                                   const IntervalSet &,
                                    AccumulatorBank &);
 
     /** run() with Adaptive at @p adaptive_width vector bits. */
     void runAt(unsigned adaptive_width, const IntervalSet &set,
-               std::size_t begin, std::size_t end, bool with_active,
                AccumulatorBank &bank) const;
 
     sleep::KernelSpec::Kind kind_;

@@ -22,8 +22,8 @@
  * sleep/policy_registry.cc.
  *
  * Adaptive is the one kind with history: its EWMA prediction carries
- * from one idle run to the next, so it is not historyFree() and its
- * stream is never sharded into chunks.
+ * from one idle run to the next, so it is not historyFree(), and the
+ * engine groups its lanes one kernel block per task.
  */
 
 #ifndef LSIM_SLEEP_KERNEL_SPEC_HH
@@ -69,8 +69,9 @@ struct KernelSpec
 
     /**
      * True when each interval's accounting is a closed form of its
-     * length alone, so the interval stream may be sharded into
-     * chunks. False for Adaptive, whose prediction is history.
+     * length alone. False for Adaptive, whose prediction is
+     * history; the engine groups only Adaptive lanes in kernel
+     * blocks, and every other kind in one group.
      */
     bool historyFree() const { return kind != Kind::Adaptive; }
 

@@ -189,6 +189,13 @@ TEST(SweepRunner, RejectsBadConfigsEagerly)
     bad_fus.technologies = pSweep(0.05, 0.5, 2);
     bad_fus.fus = 9;
     EXPECT_THROW(SweepRunner{bad_fus}, std::invalid_argument);
+
+    // A stream is no longer sharded into chunks.
+    SweepConfig chunked;
+    chunked.workloads = {"gcc"};
+    chunked.technologies = pSweep(0.05, 0.5, 2);
+    chunked.chunk_intervals = 3;
+    EXPECT_THROW(SweepRunner{chunked}, std::invalid_argument);
 }
 
 TEST(SweepRunner, ParallelSweepMatchesSingleThreadedExactly)

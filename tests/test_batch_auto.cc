@@ -92,7 +92,7 @@ reference(const SweepConfig &cfg)
     result.cells.resize(result.workloads.size() *
                         result.technologies.size());
     detail::ReplayDriver driver;
-    driver.add(result, cfg);
+    driver.add(result);
     driver.run(1);
     return rendered(result);
 }

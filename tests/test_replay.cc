@@ -1,14 +1,13 @@
 /**
  * @file
- * Unit tests for the multi-point replay engine: scalar-path
- * equivalence across every registry policy, chunk-sharding
- * tolerances, thread-count determinism, and the empty/degenerate
- * cells that must not divide by zero.
+ * Unit tests for the multi-point replay engine: bit-exact
+ * scalar-path equivalence across every registry policy, on every
+ * input and at any thread count, and the empty/degenerate cells that
+ * must not divide by zero.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "api/experiment.hh"
@@ -40,6 +39,23 @@ syntheticProfile()
     for (const auto &[len, count] : runs)
         for (std::uint64_t i = 0; i < count; ++i)
             idle.addRun(false, len);
+    return idle;
+}
+
+/** @p distinct consecutive interval lengths from 1, under a
+ * power-law count decay: more distinct lengths than any simulated
+ * workload holds (116-138), the shape of a large imported profile. */
+harness::IdleProfile
+wideProfile(Cycle distinct)
+{
+    harness::IdleProfile idle;
+    idle.num_fus = 2;
+    idle.addRun(true, 50'000'000);
+    for (Cycle len = 1; len <= distinct; ++len) {
+        const std::uint64_t count = 1 + 2'000'000 / (len * len + 100);
+        idle.intervals[len] = count;
+        idle.idle_cycles += len * count;
+    }
     return idle;
 }
 
@@ -85,30 +101,6 @@ expectBitExact(const std::vector<sleep::PolicyResult> &multi,
     }
 }
 
-/** Reduction order may differ (sharded merges): 1e-12 relative. */
-void
-expectNear(const std::vector<sleep::PolicyResult> &multi,
-           const std::vector<sleep::PolicyResult> &scalar)
-{
-    ASSERT_EQ(multi.size(), scalar.size());
-    const auto near = [](double a, double b) {
-        const double scale =
-            std::max({1.0, std::abs(a), std::abs(b)});
-        EXPECT_LE(std::abs(a - b), 1e-12 * scale);
-    };
-    for (std::size_t i = 0; i < multi.size(); ++i) {
-        EXPECT_EQ(multi[i].name, scalar[i].name);
-        near(multi[i].energy, scalar[i].energy);
-        near(multi[i].relative_to_base, scalar[i].relative_to_base);
-        near(multi[i].leakage_fraction, scalar[i].leakage_fraction);
-        near(multi[i].counts.unctrl_idle,
-             scalar[i].counts.unctrl_idle);
-        near(multi[i].counts.sleep, scalar[i].counts.sleep);
-        near(multi[i].counts.transitions,
-             scalar[i].counts.transitions);
-    }
-}
-
 TEST(IntervalSet, FlattensSortedAndDropsZeroes)
 {
     harness::IdleProfile idle;
@@ -130,18 +122,20 @@ TEST(IntervalSet, FlattensSortedAndDropsZeroes)
 
 TEST(MultiPointReplay, MatchesScalarPathBitExactly)
 {
-    // The engine contract: with a single chunk, every registry
-    // policy at every point reproduces api::evaluateProfile to the
-    // last bit.
-    const auto idle = syntheticProfile();
+    // The engine contract: every registry policy at every point
+    // reproduces api::evaluateProfile to the last bit, whatever the
+    // number of distinct lengths.
     const auto points = somePoints();
     const auto specs = allPolicySpecs();
-
-    const auto multi = replay::replayProfile(idle, points, specs);
-    ASSERT_EQ(multi.size(), points.size());
-    for (std::size_t t = 0; t < points.size(); ++t)
-        expectBitExact(multi[t],
-                       api::evaluateProfile(idle, points[t], specs));
+    for (const auto &idle : {syntheticProfile(), wideProfile(5000)}) {
+        SCOPED_TRACE(std::to_string(idle.intervals.size()) +
+                     " distinct lengths");
+        const auto multi = replay::replayProfile(idle, points, specs);
+        ASSERT_EQ(multi.size(), points.size());
+        for (std::size_t t = 0; t < points.size(); ++t)
+            expectBitExact(multi[t],
+                           api::evaluateProfile(idle, points[t], specs));
+    }
 }
 
 TEST(MultiPointReplay, DedupesPointInvariantPolicies)
@@ -158,54 +152,35 @@ TEST(MultiPointReplay, DedupesPointInvariantPolicies)
     EXPECT_GE(engine.numUnits(), 3u + 1u);
 }
 
-TEST(MultiPointReplay, ShardedChunksStayWithinTolerance)
+TEST(MultiPointReplay, PooledReplayIsThreadCountInvariant)
 {
+    // 34 points fill more than one Adaptive group at every vector
+    // width; each group's task replays the whole stream into its own
+    // accumulators, so no pool size can change a bit.
     const auto idle = syntheticProfile();
-    const auto points = somePoints();
+    const auto points = api::pSweep(0.05, 1.0, 34);
     const auto specs = allPolicySpecs();
 
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{3},
-                              std::size_t{5}, std::size_t{64}}) {
-        replay::ReplayOptions options;
-        options.chunk_intervals = chunk;
-        const auto multi =
-            replay::replayProfile(idle, points, specs, options);
-        for (std::size_t t = 0; t < points.size(); ++t)
-            expectNear(multi[t],
-                       api::evaluateProfile(idle, points[t], specs));
-    }
-}
-
-TEST(MultiPointReplay, ShardedReplayIsThreadCountInvariant)
-{
-    const auto idle = syntheticProfile();
-    const auto points = somePoints();
-    const auto specs = allPolicySpecs();
-    replay::ReplayOptions options;
-    options.chunk_intervals = 2; // force many chunks
-
-    std::vector<std::vector<std::vector<sleep::PolicyResult>>> runs;
+    std::vector<std::vector<sleep::PolicyResult>> scalar;
+    for (const auto &mp : points)
+        scalar.push_back(api::evaluateProfile(idle, mp, specs));
     for (unsigned threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
         replay::MultiPointReplay engine(
-            replay::IntervalSet::fromProfile(idle), points, specs,
-            options);
-        EXPECT_GT(engine.numChunks(), 1u);
+            replay::IntervalSet::fromProfile(idle), points, specs);
         api::detail::ThreadPool pool(threads);
         pool.run(engine.numTasks(),
                  [&](std::size_t i) { engine.runTask(i); });
-        runs.push_back(engine.finalize());
-    }
-    // Merges happen in chunk order, so scheduling cannot change a
-    // single bit.
-    for (std::size_t r = 1; r < runs.size(); ++r)
+        const auto results = engine.finalize();
         for (std::size_t t = 0; t < points.size(); ++t)
-            expectBitExact(runs[r][t], runs[0][t]);
+            expectBitExact(results[t], scalar[t]);
+    }
 }
 
 TEST(MultiPointReplay, EmptyProfileDoesNotDivide)
 {
-    // A cell with no idle intervals at all (and no cycles): chunk
-    // sharding and result normalization must not divide by zero.
+    // A cell with no idle intervals at all (and no cycles): result
+    // normalization must not divide by zero.
     harness::IdleProfile empty;
     const auto points = api::pSweep(0.05, 0.5, 3);
 
@@ -220,14 +195,6 @@ TEST(MultiPointReplay, EmptyProfileDoesNotDivide)
             EXPECT_TRUE(std::isfinite(r.leakage_fraction));
         }
     }
-
-    // Same with explicit (nonsense-sized) sharding requested.
-    replay::ReplayOptions options;
-    options.chunk_intervals = 1;
-    const auto sharded =
-        replay::replayProfile(empty, points, {}, options);
-    for (std::size_t t = 0; t < points.size(); ++t)
-        expectBitExact(sharded[t], multi[t]);
 }
 
 TEST(MultiPointReplay, ActiveOnlyProfile)
@@ -287,24 +254,6 @@ TEST(SweepRunner, CellsMatchTheScalarReferenceBitForBit)
                                                 cfg.policies));
 }
 
-TEST(SweepRunner, ChunkedSweepStaysWithinTolerance)
-{
-    api::SweepConfig cfg;
-    cfg.workloads = {"gcc"};
-    cfg.technologies = api::pSweep(0.05, 1.0, 4);
-    cfg.insts = 20'000;
-
-    api::SweepConfig chunked = cfg;
-    chunked.chunk_intervals = 3;
-    chunked.threads = 4;
-
-    const auto ref = api::SweepRunner(cfg).run();
-    const auto shard = api::SweepRunner(chunked).run();
-    ASSERT_EQ(ref.cells.size(), shard.cells.size());
-    for (std::size_t i = 0; i < ref.cells.size(); ++i)
-        expectNear(shard.cells[i].policies, ref.cells[i].policies);
-}
-
 TEST(MultiPointReplay, AdaptiveIdlesUncontrolledAtInfiniteBreakeven)
 {
     // At p = 0 (or alpha = 1) sleep never pays off: the breakeven is
@@ -346,7 +295,6 @@ TEST(ReplayDriver, StageHistogramsCountOncePerRun)
     for (std::size_t i = 0; i < 3; ++i)
         before[i] = obs::histogram(names[i]).count();
 
-    api::SweepConfig cfg;
     api::SweepResult result;
     result.workloads = {"synthetic"};
     result.technologies = api::pSweep(0.05, 1.0, 3);
@@ -358,7 +306,7 @@ TEST(ReplayDriver, StageHistogramsCountOncePerRun)
     result.cells.resize(result.technologies.size());
     for (std::uint64_t run = 1; run <= 2; ++run) {
         api::detail::ReplayDriver driver;
-        driver.add(result, cfg);
+        driver.add(result);
         driver.run(1);
         for (std::size_t i = 0; i < 3; ++i)
             EXPECT_EQ(obs::histogram(names[i]).count(), before[i] + run)

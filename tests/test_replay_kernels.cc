@@ -227,8 +227,7 @@ expectAdaptiveAtWidth(const replay::IntervalSet &set,
         batch.addLane(adaptiveSpec(breakeven, weight));
     replay::kernels::AccumulatorBank bank;
     bank.resize(batch.lanes());
-    replay::kernels::detail::runAtWidth(batch, width, set, 0,
-                                        set.numDistinct(), true, bank);
+    replay::kernels::detail::runAtWidth(batch, width, set, bank);
     for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
         SCOPED_TRACE("lane " + std::to_string(lane));
         const energy::CycleCounts got = bank.counts(lane);
@@ -296,8 +295,7 @@ TEST(ReplayKernels, AdaptiveWidthsAscendFrom128AndRunUsesTheLast)
     replay::kernels::AccumulatorBank bank;
     bank.resize(1);
     const replay::IntervalSet set = shuffledStream(1, 10);
-    EXPECT_THROW(replay::kernels::detail::runAtWidth(
-                     batch, 64, set, 0, set.numDistinct(), true, bank),
+    EXPECT_THROW(replay::kernels::detail::runAtWidth(batch, 64, set, bank),
                  std::invalid_argument);
     EXPECT_THROW(replay::kernels::detail::adaptiveBlockLanes(1024),
                  std::invalid_argument);
@@ -440,9 +438,15 @@ TEST(ReplayKernels, MisuseThrowsAndLeavesTheBatchUnchanged)
     replay::kernels::AccumulatorBank bank;
     bank.resize(2);
     const replay::IntervalSet set = shuffledStream(3, 10);
-    EXPECT_THROW(timeouts.run(set, 0, set.numDistinct(), true, bank),
-                 std::invalid_argument);
+    EXPECT_THROW(timeouts.run(set, bank), std::invalid_argument);
     EXPECT_EQ(bank.active, std::vector<double>(2, 0.0));
+
+    // An engine asked to shard its stream into chunks.
+    replay::ReplayOptions chunked;
+    chunked.chunk_intervals = 4;
+    EXPECT_THROW(replay::MultiPointReplay(set, api::pSweep(0.05, 1.0, 2),
+                                          {}, chunked),
+                 std::invalid_argument);
 }
 
 TEST(ReplayKernels, EmptyAndDegenerateSets)
@@ -499,7 +503,7 @@ TEST(ReplayKernels, PaperPoliciesFullyKernelize)
         api::pSweep(0.05, 1.0, 20), {});
     // max-sleep, gradual, always-active, no-overhead: one kernel
     // group per kind, every unit on the kernel path.
-    EXPECT_EQ(engine.numKernelGroups(), 4u);
+    EXPECT_EQ(engine.numTasks(), 4u);
     EXPECT_EQ(engine.numKernelUnits(), engine.numUnits());
 }
 
@@ -514,10 +518,10 @@ TEST(ReplayKernels, WarmGridPoliciesFullyKernelize)
     // Six history-free groups, plus 34 adaptive lanes in groups of
     // one kernel block: one whole-stream task each.
     const std::size_t block = replay::kernels::adaptiveBlockLanes();
-    EXPECT_EQ(engine.numKernelGroups(),
+    EXPECT_EQ(engine.numTasks(),
               6u + (points.size() + block - 1) / block);
 
-    // Adaptive is the one policy whose stream may not be sharded.
+    // Adaptive is the one policy grouped by kernel block.
     for (const auto &key : kWarmGridPolicies) {
         SCOPED_TRACE(key);
         EXPECT_EQ(sleep::PolicyRegistry::instance()

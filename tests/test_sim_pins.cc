@@ -18,7 +18,7 @@
  *  - the profile-store key (SimTask::fingerprint) of one auto task
  *    and one explicit task;
  *  - FNV-1a of SweepResult::writeCsv and writeJson for one
- *    {gcc, mst} sweep, which chunked phase-2 replay must reproduce;
+ *    {gcc, mst} sweep;
  *  - the SweepResult::averagesAt values, as hexfloat text, of a
  *    paper-policy {gcc, mcf} sweep at every point;
  *  - FNV-1a of RunResult::toJson and toCsv for one explicit-count and
@@ -363,21 +363,15 @@ TEST(SimPins, StoreKeysOfAutoAndExplicitTasks)
 
 TEST(RenderPins, SweepCsvAndJsonMatchThePinnedHashes)
 {
-    // Chunked phase-2 replay must render the same bytes as the
-    // unchunked default: the rows below hold for both.
-    for (const std::size_t chunk : {std::size_t{0}, std::size_t{4}}) {
-        SCOPED_TRACE("chunk_intervals = " + std::to_string(chunk));
-        api::SweepConfig cfg = sweepConfig({"gcc", "mst"});
-        cfg.policies = {"max-sleep", "gradual", "timeout:64",
-                        "adaptive", "oracle", "no-overhead"};
-        cfg.chunk_intervals = chunk;
-        const api::SweepResult result = api::SweepRunner(cfg).run();
-        std::ostringstream csv, json;
-        result.writeCsv(csv);
-        result.writeJson(json);
-        expectRenderPin("sweep.csv", csv.str());
-        expectRenderPin("sweep.json", json.str());
-    }
+    api::SweepConfig cfg = sweepConfig({"gcc", "mst"});
+    cfg.policies = {"max-sleep", "gradual", "timeout:64", "adaptive",
+                    "oracle", "no-overhead"};
+    const api::SweepResult result = api::SweepRunner(cfg).run();
+    std::ostringstream csv, json;
+    result.writeCsv(csv);
+    result.writeJson(json);
+    expectRenderPin("sweep.csv", csv.str());
+    expectRenderPin("sweep.json", json.str());
 }
 
 TEST(RenderPins, SuiteAveragesMatchThePinnedValues)

@@ -329,9 +329,6 @@ commands()
           {"cache-dir", "DIR",
            "profile store shared across runs (skips warm phase-1 "
            "simulations)"},
-          {"chunk-intervals", "N",
-           "distinct interval lengths per phase-2 replay chunk "
-           "(default 0 = auto)"},
           {"json", nullptr, "emit JSON instead of a table"},
           {"csv", nullptr, "emit CSV instead of a table"},
           kHelpFlag}},
@@ -671,11 +668,6 @@ cmdSweep(const Args &args)
         cfg.imports = splitList(
             args.flagOrPositional("imports", ~std::size_t{0}));
     cfg.cache_dir = args.flagOrPositional("cache-dir", ~std::size_t{0});
-    const std::string chunk_text =
-        args.flagOrPositional("chunk-intervals", ~std::size_t{0});
-    cfg.chunk_intervals = chunk_text.empty()
-        ? 0
-        : parseU64(chunk_text, "--chunk-intervals");
 
     const auto result = api::SweepRunner(cfg).run();
 
